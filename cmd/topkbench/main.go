@@ -227,8 +227,8 @@ func main() {
 	}
 	if *exp == "kernels" {
 		// Not part of -exp all: host-local microbenchmarks of the selection
-		// engines, the dht.Table probe loop and the treap structural ops
-		// (no machine, no meters). -quick is the CI smoke tier: one run per
+		// engines, the dht.Table probe loop, the treap structural ops and
+		// agg.LocalAggregate (no machine, no meters). -quick is the CI smoke tier: one run per
 		// op and n capped at 2^18.
 		tables = append(tables, experiments.KernelsTables(*quick)...)
 	}

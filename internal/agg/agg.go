@@ -9,6 +9,14 @@
 // where v_avg = m/s for total value m and target sample size s. Per key
 // and PE the sample count then deviates from its expectation by at most 1,
 // which is what the Hoeffding analysis of Theorem 15 needs.
+//
+// The local aggregation (LocalAggregate) is a stable radix sort of the
+// (key, value) pairs followed by one pass that sums equal-key runs, not a
+// hash table: it yields the keys in ascending order, which sampling needs
+// anyway so that each key's Bernoulli draw is a fixed function of the RNG
+// stream, and stability makes every per-key sum add its values in input
+// order. Sampling is then a linear scan over the runs, and ECSum's exact
+// candidate sums are binary searches in them.
 package agg
 
 import (
@@ -39,7 +47,8 @@ func (p Params) validate() {
 	}
 }
 
-// ItemSum is one key with its (estimated or exact) global value sum.
+// ItemSum is one key with a value sum: the (estimated or exact) global
+// sum in Result.Items, the PE-local sum in a Sums run.
 type ItemSum struct {
 	Key uint64
 	Sum float64
@@ -59,48 +68,25 @@ type Result struct {
 	KStar int
 }
 
-// LocalAggregate sums values per key — the first step of Section 8.1 and
-// a useful public helper. The result is a pooled dht.SumTable (the last
-// query-path structure that was a Go map until PR 4): the caller owns it
-// and should Release it when done so steady-state queries stay
-// allocation-lean.
-func LocalAggregate(keys []uint64, values []float64) *dht.SumTable {
-	if len(keys) != len(values) {
-		panic("agg: keys/values length mismatch")
-	}
-	t := dht.NewSumTable(len(keys))
-	for i, k := range keys {
-		v := values[i]
-		if v < 0 {
-			panic("agg: negative value")
-		}
-		t.Add(k, v)
-	}
-	return t
-}
-
 // sampleAggregated converts aggregated values into integer sample counts
 // (as KV pairs in ascending key order): floor + Bernoulli residual
-// (Section 8.1). Keys are visited in sorted order (dht.SortedKeys) so
-// each key's Bernoulli draw is a fixed function of the RNG stream:
-// iterating in table (or, before PR 4, Go-map) order would let the
-// layout decide which key consumed which deviate, making the sampled
-// counts — and hence ECSum's candidate set and realized ε̃ — vary
-// between runs with identical seeds (the agg.TestECSumIsExact flake).
-// The second result is the realized local sample size.
-func sampleAggregated(local *dht.SumTable, vavg float64, rng *xrand.RNG) ([]dht.KV, int64) {
-	keys := local.SortedKeys(make([]uint64, 0, local.Len()))
+// (Section 8.1). One linear scan over the ascending runs, so each key's
+// Bernoulli draw is a fixed function of the RNG stream: visiting keys in
+// a layout-dependent order would let the layout decide which key consumed
+// which deviate, making the sampled counts — and hence ECSum's candidate
+// set and realized ε̃ — vary between runs with identical seeds. The
+// second result is the realized local sample size.
+func sampleAggregated(local *Sums, vavg float64, rng *xrand.RNG) ([]dht.KV, int64) {
 	out := make([]dht.KV, 0, local.Len())
 	var total int64
-	for _, k := range keys {
-		v, _ := local.Get(k)
-		q := v / vavg
+	for _, r := range local.Runs() {
+		q := r.Sum / vavg
 		c := int64(q)
 		if rng.Bernoulli(q - float64(c)) {
 			c++
 		}
 		if c > 0 {
-			out = append(out, dht.KV{Key: k, Count: c})
+			out = append(out, dht.KV{Key: r.Key, Count: c})
 			total += c
 		}
 	}
@@ -139,11 +125,10 @@ func ExactTopSums(pe *comm.PE, keys []uint64, values []float64, k int, route dht
 	// Scale to fixed point so the counting DHT can carry sums. Sorted key
 	// order keeps the routed batches deterministic.
 	const scale = 1 << 20
-	ids := local.SortedKeys(make([]uint64, 0, local.Len()))
-	fixed := make([]dht.KV, len(ids))
-	for i, key := range ids {
-		v, _ := local.Get(key)
-		fixed[i] = dht.KV{Key: key, Count: int64(v * scale)}
+	runs := local.Runs()
+	fixed := make([]dht.KV, len(runs))
+	for i, r := range runs {
+		fixed[i] = dht.KV{Key: r.Key, Count: int64(r.Sum * scale)}
 	}
 	shard := dht.CountKV(pe, fixed, route)
 	top := dht.SelectTopKTable(pe, shard, k, rng)

@@ -176,25 +176,43 @@ func TestLocalAggregate(t *testing.T) {
 	if v2, _ := m.Get(2); v2 != 2 {
 		t.Errorf("aggregate[2] = %v", v2)
 	}
+	if _, ok := m.Get(3); ok {
+		t.Error("absent key 3 found")
+	}
 	if m.Len() != 2 || m.Total() != 4 {
 		t.Errorf("Len=%d Total=%v", m.Len(), m.Total())
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("negative value should panic")
-		}
-	}()
-	LocalAggregate([]uint64{1}, []float64{-1})
+}
+
+// TestLocalAggregateRejectsBadValues: a negative or non-finite value on
+// any PE would silently poison the global mass m (and with it v_avg), so
+// LocalAggregate refuses it.
+func TestLocalAggregateRejectsBadValues(t *testing.T) {
+	for _, tc := range []struct {
+		v    float64
+		want string
+	}{
+		{-1, "agg: negative value"},
+		{math.NaN(), "agg: non-finite value"},
+		{math.Inf(1), "agg: non-finite value"},
+		{math.Inf(-1), "agg: non-finite value"},
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Errorf("value %v: panic %v, want %q", tc.v, got, tc.want)
+				}
+			}()
+			LocalAggregate([]uint64{1, 2, 3}, []float64{1, tc.v, 2})
+		}()
+	}
 }
 
 func TestSampleAggregatedDeviationAtMostOne(t *testing.T) {
 	// Per key, the sample count must deviate from v/vavg by < 1.
 	rng := xrand.New(37)
-	local := dht.NewSumTable(3)
+	local := LocalAggregate([]uint64{3, 1, 2, 1}, []float64{99.99, 10, 0.7, 0.3})
 	defer local.Release()
-	local.Add(1, 10.3)
-	local.Add(2, 0.7)
-	local.Add(3, 99.99)
 	const vavg = 1.0
 	for trial := 0; trial < 100; trial++ {
 		kvs, total := sampleAggregated(local, vavg, rng)
@@ -207,13 +225,13 @@ func TestSampleAggregatedDeviationAtMostOne(t *testing.T) {
 		if sum != total {
 			t.Fatalf("reported sample size %d, summed %d", total, sum)
 		}
-		local.ForEach(func(k uint64, v float64) {
-			q := v / vavg
-			c := float64(s[k])
+		for _, r := range local.Runs() {
+			q := r.Sum / vavg
+			c := float64(s[r.Key])
 			if c < math.Floor(q) || c > math.Ceil(q) {
-				t.Fatalf("key %d: count %v outside [floor,ceil] of %v", k, c, q)
+				t.Fatalf("key %d: count %v outside [floor,ceil] of %v", r.Key, c, q)
 			}
-		})
+		}
 	}
 }
 

@@ -42,7 +42,7 @@ type aggStep struct {
 	self   bool
 	exact  bool // ECSum path (exact summation of k* candidates)
 
-	local  *dht.SumTable
+	local  *Sums
 	n      int64
 	mTotal float64
 	aggKVs []dht.KV

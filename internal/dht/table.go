@@ -28,8 +28,7 @@ import (
 // control line; the slot array is read only for the (rare) tag hits.
 //
 // SumTable is the same structure over float64 values, for the
-// sum-aggregation layer's per-key value totals (Section 8.1) — the last
-// query-path structure that was still a Go map.
+// multicriteria layer's per-object score sums.
 //
 // Iteration (ForEach, AppendKVs) is in slot order, which is a pure
 // function of the insertion sequence — deterministic wherever the

@@ -37,6 +37,7 @@ func AblationAMSBatch(p, perPE int, kmin, kmax int64, seed int64) Table {
 			})
 			last = meas
 		}
+		m.Close()
 		row := []string{fmt.Sprintf("%d", d), fmt.Sprintf("%.1f", float64(rounds)/reps), ms(last.wall)}
 		t.Rows = append(t.Rows, append(row, stdCols(last)...))
 	}
@@ -63,6 +64,7 @@ func AblationPQFlexible(p, perPE int, k int64, seed int64) Table {
 				q.DeleteMin(k)
 			}
 		})
+		m.Close()
 		name := "exact k"
 		if flexible {
 			name = "flexible k..2k"
@@ -94,6 +96,7 @@ func AblationDHTRouting(p, distinct int, seed int64) Table {
 			}
 			dht.CountKeys(pe, local, mode)
 		})
+		m.Close()
 		name := "direct"
 		if mode == dht.RouteHypercube {
 			name = "hypercube"
@@ -123,6 +126,7 @@ func AblationRedistribution(p, perPE int, seed int64) Table {
 		counts[0] += hot + (total - hot - rest*int64(p))
 		run := func(naive bool) int64 {
 			m := comm.NewMachine(expConfig(p))
+			defer m.Close()
 			m.MustRun(func(pe *comm.PE) {
 				local := make([]uint64, counts[pe.Rank()])
 				if naive {
@@ -166,6 +170,7 @@ func CollectivesScaling(pList []int) Table {
 		s := startups(func(pe *comm.PE) { collScan(pe) })
 		g := startups(func(pe *comm.PE) { collAllGather(pe) })
 		h := startups(func(pe *comm.PE) { collHyperA2A(pe) })
+		m.Close()
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", p),
 			fmt.Sprintf("%d", b), fmt.Sprintf("%d", a), fmt.Sprintf("%d", s),

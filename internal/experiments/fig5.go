@@ -65,6 +65,7 @@ func Fig5(p int, k int, seed int64) Table {
 				fmt.Sprintf("%d", meas.stats.MaxSentWords),
 			})
 		}
+		m.Close()
 	}
 	return t
 }

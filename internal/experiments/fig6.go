@@ -42,6 +42,7 @@ func Fig6(perPE int, pList []int, ks []int64, seed int64) Table {
 			row := []string{fmt.Sprintf("%d", p), fmt.Sprintf("%d", k), ms(meas.wall)}
 			t.Rows = append(t.Rows, append(row, stdCols(meas)...))
 		}
+		m.Close()
 	}
 	return t
 }

@@ -56,6 +56,7 @@ func Fig7(perPE int, pList []int, k int, eps, delta float64, seed int64) Table {
 			}
 			t.Rows = append(t.Rows, append(row, stdCols(meas)...))
 		}
+		m.Close()
 	}
 	return t
 }

@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"commtopk/internal/agg"
 	"commtopk/internal/dht"
+	"commtopk/internal/gen"
 	"commtopk/internal/qsel"
 	"commtopk/internal/treap"
 	"commtopk/internal/xrand"
@@ -121,9 +123,9 @@ func timeKernel(run func(), quick bool) time.Duration {
 }
 
 // KernelsTables renders the -exp kernels family: the selection-engine
-// sweep over n and distribution, plus the probe-loop and treap
-// structural-operation rows. quick selects the CI smoke tier — one run
-// per op and n capped at 2^18.
+// sweep over n and distribution, plus the probe-loop, treap
+// structural-operation and LocalAggregate rows. quick selects the CI
+// smoke tier — one run per op and n capped at 2^18.
 func KernelsTables(quick bool) []Table {
 	nMax := 1 << 24
 	if quick {
@@ -179,7 +181,52 @@ func KernelsTables(quick bool) []Table {
 	dur = timeKernel(func() { kernelSink += benchTreapChurn(nTr) }, quick)
 	locT.Rows = append(locT.Rows, []string{"treap-churn", fmt.Sprintf("2^%d", log2i(nTr)),
 		fmt.Sprintf("%.1f", float64(dur.Nanoseconds())/float64(4*nTr))})
-	return []Table{selT, locT}
+
+	aggT := Table{
+		Title: "Local kernels: agg.LocalAggregate (Zipf s=1 over 2^20 ids, Exp(1) values)",
+		Notes: "narrow = the raw ids (below 2^20, the batch-deep shape); wide = the same ids spread over\n" +
+			"64 bits by dht.Mix. One op aggregates all keys and releases the result.",
+		Header: []string{"kernel", "n", "ns/key", "allocs/op"},
+	}
+	nAgg := localAggN
+	if quick {
+		nAgg = 1 << 18
+	}
+	for _, shape := range localAggShapes {
+		keys, values := localAggInput(shape, nAgg)
+		run := func() { runLocalAggregate(keys, values) }
+		run() // fill the buffer pool, as a steady-state query finds it
+		dur := timeKernel(run, quick)
+		aggT.Rows = append(aggT.Rows, []string{"local-aggregate/" + shape, fmt.Sprintf("2^%d", log2i(nAgg)),
+			fmt.Sprintf("%.1f", float64(dur.Nanoseconds())/float64(nAgg)),
+			fmt.Sprintf("%.0f", testing.AllocsPerRun(1, run))})
+	}
+	return []Table{selT, locT, aggT}
+}
+
+// localAggN is the per-PE key count of the LocalAggregate rows, batch-deep's.
+const localAggN = 1 << 21
+
+var localAggShapes = []string{"narrow", "wide"}
+
+// localAggInput draws n (key, value) pairs: Zipf(1) ids below 2^20 with
+// Exp(1) values, the ids spread over all 64 bits by dht.Mix for "wide".
+func localAggInput(shape string, n int) ([]uint64, []float64) {
+	keys, values := gen.WeightedInput(xrand.New(5), gen.NewZipf(1<<20, 1), n)
+	if shape == "wide" {
+		for i, k := range keys {
+			keys[i] = dht.Mix(k)
+		}
+	}
+	return keys, values
+}
+
+// runLocalAggregate aggregates keys/values and releases the result, as
+// every sum-aggregation query does.
+func runLocalAggregate(keys []uint64, values []float64) {
+	s := agg.LocalAggregate(keys, values)
+	kernelSink += uint64(s.Len())
+	s.Release()
 }
 
 func log2i(n int) int {
@@ -247,7 +294,8 @@ func benchTreapChurn(n int) uint64 {
 // testing.Benchmark and returns Kernels/... entries for BENCH_PR<N>.json:
 // the full distribution set at n = 2^20 (the acceptance-criterion size)
 // for the value-only engines, the crossover sizes on random input for all
-// three, the memory-scale point, and the probe/treap kernels.
+// three, the memory-scale point, the probe/treap kernels, and
+// LocalAggregate on narrow and wide keys at batch-deep's 2^21 per PE.
 func KernelSuite(progress func(string)) []BenchResult {
 	var out []BenchResult
 	add := func(name string, body func(b *testing.B)) {
@@ -299,5 +347,15 @@ func KernelSuite(progress func(string)) []BenchResult {
 			kernelSink += benchTreapChurn(1 << 13)
 		}
 	})
+	for _, shape := range localAggShapes {
+		add(fmt.Sprintf("Kernels/LocalAggregate/%s/n=2^%d", shape, log2i(localAggN)), func(b *testing.B) {
+			keys, values := localAggInput(shape, localAggN)
+			runLocalAggregate(keys, values)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				runLocalAggregate(keys, values)
+			}
+		})
+	}
 	return out
 }

@@ -61,6 +61,7 @@ func Table1(p int, perPE int, k int, seed int64) Table {
 			sel.KthRandomized(pe, locals[pe.Rank()], n/2, xrand.NewPE(seed+2, pe.Rank()))
 		})
 		addRow("unsorted selection", "old [31]", measOld, fmt.Sprintf("Ω(n/p) = %d", perPE))
+		m.Close()
 	}
 
 	// --- Sorted selection (multisequence) ------------------------------
@@ -77,6 +78,7 @@ func Table1(p int, perPE int, k int, seed int64) Table {
 			sel.AMSSelect[uint64](pe, sel.SliceSeq[uint64](locals[pe.Rank()]), int64(k), 2*int64(k), xrand.NewPE(seed+5, pe.Rank()))
 		})
 		addRow("sorted selection", "flexible k (α log kp)", measFlex, "O(1) words (pivots only)")
+		m.Close()
 	}
 
 	// --- Bulk priority queue -------------------------------------------
@@ -100,6 +102,7 @@ func Table1(p int, perPE int, k int, seed int64) Table {
 		})
 		addRow("bulk PQ insert*+deleteMin*", "old [31] (random alloc)", measOld,
 			fmt.Sprintf("Θ(n/p) = %d", perPE/4))
+		m.Close()
 	}
 
 	// --- Top-k most frequent objects ------------------------------------
@@ -127,6 +130,7 @@ func Table1(p int, perPE int, k int, seed int64) Table {
 			freq.Naive(pe, locals[pe.Rank()], params, xrand.NewPE(seed+13, pe.Rank()))
 		})
 		addRow("top-k frequent", "old (coordinator)", measNaive, "Ω(k/ε) at the master")
+		m.Close()
 	}
 
 	// --- Top-k sum aggregation ------------------------------------------
@@ -143,6 +147,7 @@ func Table1(p int, perPE int, k int, seed int64) Table {
 		})
 		addRow("top-k sum aggregation", "new (Thm 15)", meas,
 			fmt.Sprintf("(log p/ε)·√(1/p)·log(n/δ) ≈ %.0f", logp/0.02*math.Sqrt(1/float64(p))*math.Log(float64(n)/1e-4)))
+		m.Close()
 	}
 
 	// --- Multicriteria top-k --------------------------------------------
@@ -157,6 +162,7 @@ func Table1(p int, perPE int, k int, seed int64) Table {
 			mtopk.DTA(pe, datas[pe.Rank()], mtopk.SumScore, k, xrand.NewPE(seed+17, pe.Rank()))
 		})
 		addRow("multicriteria top-k", "DTA (Thm 6)", meas, "m·logK words")
+		m.Close()
 	}
 
 	return t
