@@ -9,7 +9,8 @@ import (
 // These tests pin the buffer-ownership contracts of the collectives after
 // the in-place/pooled rewrite: reduction results must never alias caller
 // inputs (so callers may reuse their buffers immediately), while AllToAll
-// deliberately keeps the self-part aliased (zero-copy local delivery).
+// deliberately keeps the self-part aliased (zero-copy local delivery) and
+// hands every received part over as a caller-owned copy.
 
 func TestAllReduceDoesNotAliasInput(t *testing.T) {
 	for _, p := range []int{1, 2, 5, 8} {
@@ -97,11 +98,51 @@ func TestAllToAllKeepsSelfPartAliased(t *testing.T) {
 	}
 }
 
+// TestAllToAllReceivedPartsCallerOwned pins the copy contract of the
+// blocking AllToAll: once it returns, a sender that mutates its outgoing
+// parts leaves every receiver's non-self parts unchanged.
+func TestAllToAllReceivedPartsCallerOwned(t *testing.T) {
+	const p = 6
+	narrow := comm.MailboxConfig(p)
+	narrow.Workers = 2 // w < p: bodies share scheduler workers
+	for _, tc := range []struct {
+		name string
+		cfg  comm.Config
+	}{{"chanmatrix", comm.MatrixConfig(p)}, {"mailbox-w2", narrow}} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := comm.NewMachine(tc.cfg)
+			defer m.Close()
+			m.MustRun(func(pe *comm.PE) {
+				r := pe.Rank()
+				parts := make([][]int, p)
+				for d := range parts {
+					parts[d] = []int{r*100 + d, r}
+				}
+				out := AllToAll(pe, parts)
+				for _, part := range parts {
+					part[0], part[1] = -1, -1
+				}
+				Barrier(pe) // every sender has mutated before anyone checks
+				for src, part := range out {
+					if src == r {
+						continue
+					}
+					if len(part) != 2 || part[0] != src*100+r || part[1] != src {
+						t.Errorf("rank %d: part from %d is %v after the sender mutated its parts, want [%d %d]",
+							r, src, part, src*100+r, src)
+					}
+				}
+			})
+		})
+	}
+}
+
 // measureCollectiveAllocs returns the average allocations per collective
 // invocation, with the constant per-Run overhead (goroutine spawns, wait
 // group) measured separately and subtracted.
 func measureCollectiveAllocs(p, opsPerRun int, body func(pe *comm.PE)) float64 {
 	m := comm.NewMachine(comm.DefaultConfig(p))
+	defer m.Close()
 	empty := testing.AllocsPerRun(10, func() {
 		m.MustRun(func(pe *comm.PE) {})
 	})

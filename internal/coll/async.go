@@ -5,21 +5,19 @@ import (
 	"commtopk/internal/commbuf"
 )
 
-// Continuation (Stepper) forms of the scalar collectives and the strided
-// gather, for comm.Machine.RunAsync: the same protocols — same message
-// schedule, same metered words, startups and modeled clock, pinned by
-// the differential suite — expressed as resumable bodies. Where the
-// blocking forms park a goroutine per waiting PE (transiently O(p)
-// stacks during a collective at scale), a stepper suspends as data and
-// the scheduler's w workers keep driving: mid-run goroutine residency
-// stays O(w). The vector/gather-shaped forms live in async_vec.go and
-// async_route.go.
+// Continuation (Stepper) forms of the scalar collectives, the binomial
+// broadcast and the strided gather, for comm.Machine.RunAsync. These
+// steppers are the only implementation of their protocols: the blocking
+// forms in coll.go drive them to completion with comm.RunSteps. Where a
+// blocking body parks a goroutine per waiting PE (transiently O(p)
+// stacks during a collective at scale), a stepper under RunAsync
+// suspends as data and the scheduler's w workers keep driving: mid-run
+// goroutine residency stays O(w). The vector/gather-shaped forms live in
+// async_vec.go and async_route.go.
 //
 // Each XxxStep factory returns a single-use Stepper for one PE; results
 // are delivered through the out callback (nil to discard). Compose
-// multi-collective bodies with comm.Seq / comm.SeqP, and reuse the same
-// stepper under a blocking body via comm.RunSteps — one implementation,
-// both execution modes.
+// multi-collective bodies with comm.Seq / comm.SeqP.
 //
 // # State pooling
 //
@@ -112,135 +110,65 @@ func (s *broadcastStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
 	}
 }
 
-// scalar-collective phase constants (allReduceScalarStep).
-const (
-	arphInit = iota
-	arphStragglerWait
-	arphExtraWait
-	arphRounds
-	arphRoundWait
-	arphFoldOut
-	arphDone
-)
-
-// allReduceScalarStep — see AllReduceScalarStep.
-type allReduceScalarStep[T any] struct {
-	op       func(a, b T) T
-	out      func(T)
-	pool     *commbuf.Pool[T]
-	tag      comm.Tag
-	acc      T
-	rank     int
-	r, extra int
-	mask     int
-	h        *comm.RecvHandle
-	phase    int
+// scalarStep is the continuation form shared by the scalar collectives
+// (AllReduceScalarStep, BroadcastScalarStep, ExScanSumStep): it drives
+// the collective's engine, which works in place on the pooled
+// one-element slot buf, then recycles the slot and hands the value to
+// out. The blocking forms drive the same engines through runScalar.
+type scalarStep[T any] struct {
+	buf *[]T
+	eng comm.Stepper
+	out func(T)
 }
 
-// AllReduceScalarStep is the continuation form of AllReduceScalar: the
-// non-power-of-two fold-in/out around recursive doubling, scalar
-// payloads in pooled one-element buffers, exactly as the blocking form
-// ships them.
-func AllReduceScalarStep[T any](pe *comm.PE, v T, op func(a, b T) T, out func(T)) comm.Stepper {
-	s := comm.GetPooled[allReduceScalarStep[T]](pe)
-	*s = allReduceScalarStep[T]{op: op, out: out, acc: v}
+func newScalarStep[T any](pe *comm.PE, buf *[]T, eng comm.Stepper, out func(T)) comm.Stepper {
+	s := comm.GetPooled[scalarStep[T]](pe)
+	*s = scalarStep[T]{buf: buf, eng: eng, out: out}
 	return s
 }
 
-func (s *allReduceScalarStep[T]) send1(pe *comm.PE, dst int, x T) {
-	b := s.pool.Get(1)
-	(*b)[0] = x
-	pe.Send(dst, s.tag, b, WordsOf[T]())
-}
-
-func (s *allReduceScalarStep[T]) take1() T {
-	rxAny, _ := s.h.Wait()
-	s.h = nil
-	rx := rxAny.(*[]T)
-	x := (*rx)[0]
-	s.pool.Put(rx)
-	return x
-}
-
-func (s *allReduceScalarStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
-	p := pe.P()
-	for {
-		switch s.phase {
-		case arphInit:
-			if p == 1 {
-				s.phase = arphDone
-				continue
-			}
-			s.pool = commbuf.For[T]()
-			s.tag = pe.NextCollTag()
-			s.rank = pe.Rank()
-			s.r = 1
-			for s.r*2 <= p {
-				s.r *= 2
-			}
-			s.extra = p - s.r
-			if s.rank >= s.r {
-				// Straggler: fold onto the low partner, await the result.
-				s.h = pe.IRecv(s.rank-s.r, s.tag)
-				s.send1(pe, s.rank-s.r, s.acc)
-				s.phase = arphStragglerWait
-				if !s.h.Test() {
-					return s.h
-				}
-				continue
-			}
-			if s.rank < s.extra {
-				s.h = pe.IRecv(s.rank+s.r, s.tag)
-				s.phase = arphExtraWait
-				if !s.h.Test() {
-					return s.h
-				}
-				continue
-			}
-			s.mask = 1
-			s.phase = arphRounds
-		case arphStragglerWait:
-			s.acc = s.take1()
-			s.phase = arphDone
-		case arphExtraWait:
-			s.acc = s.op(s.acc, s.take1())
-			s.mask = 1
-			s.phase = arphRounds
-		case arphRounds:
-			if s.mask >= s.r {
-				s.phase = arphFoldOut
-				continue
-			}
-			partner := s.rank ^ s.mask
-			s.h = pe.IRecv(partner, s.tag)
-			s.send1(pe, partner, s.acc)
-			s.phase = arphRoundWait
-			if !s.h.Test() {
-				return s.h
-			}
-		case arphRoundWait:
-			s.acc = s.op(s.acc, s.take1())
-			s.mask <<= 1
-			s.phase = arphRounds
-		case arphFoldOut:
-			if s.rank < s.extra {
-				s.send1(pe, s.rank+s.r, s.acc)
-			}
-			s.phase = arphDone
-		default:
-			out, acc := s.out, s.acc
-			*s = allReduceScalarStep[T]{}
-			comm.PutPooled(pe, s)
-			if out != nil {
-				out(acc)
-			}
-			return nil
-		}
+func (s *scalarStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
+	if h := s.eng.Step(pe); h != nil {
+		return h
 	}
+	buf, out := s.buf, s.out
+	*s = scalarStep[T]{}
+	comm.PutPooled(pe, s)
+	v := (*buf)[0]
+	commbuf.For[T]().Put(buf)
+	if out != nil {
+		out(v)
+	}
+	return nil
 }
 
-// BarrierStep is the continuation form of Barrier (a zero-word
-// all-reduce, like the blocking Barrier).
+// scalarSlot returns a pooled one-element buffer holding v: the
+// accumulator a scalar collective's engine works on in place.
+func scalarSlot[T any](v T) *[]T {
+	b := commbuf.For[T]().Get(1)
+	(*b)[0] = v
+	return b
+}
+
+// runScalar drives eng, built over the slot buf, to completion with
+// blocking waits and returns the slot's final value. Handing the result
+// back through the pooled slot rather than a capturing closure keeps
+// the blocking scalar collectives allocation-free.
+func runScalar[T any](pe *comm.PE, buf *[]T, eng comm.Stepper) T {
+	comm.RunSteps(pe, eng)
+	v := (*buf)[0]
+	commbuf.For[T]().Put(buf)
+	return v
+}
+
+// AllReduceScalarStep is the continuation form of AllReduceScalar: the
+// all-reduce engine (allReduceAccStep) on a one-element slot.
+func AllReduceScalarStep[T any](pe *comm.PE, v T, op func(a, b T) T, out func(T)) comm.Stepper {
+	b := scalarSlot(v)
+	return newScalarStep(pe, b, newAllReduceAccStep(pe, *b, op, nil), out)
+}
+
+// BarrierStep is the continuation form of Barrier.
 func BarrierStep(pe *comm.PE) comm.Stepper {
 	return AllReduceScalarStep(pe, int64(0), func(a, b int64) int64 { return a + b }, nil)
 }
@@ -255,29 +183,34 @@ const (
 	esphDone
 )
 
-// exScanSumStep — see ExScanSumStep.
+// exScanSumStep is the exclusive scalar prefix-sum engine: the
+// dissemination scan followed by the shift-down round, in place on the
+// one-element slot acc.
 type exScanSumStep[T int | int64 | float64 | uint64] struct {
-	out   func(T)
+	acc   []T
 	pool  *commbuf.Pool[T]
 	tag   comm.Tag
-	acc   T
 	rank  int
 	d     int
 	h     *comm.RecvHandle
 	phase int
 }
 
-// ExScanSumStep is the continuation form of ExScanSum: the dissemination
-// scan followed by the shift-down round, identical wire schedule.
-func ExScanSumStep[T int | int64 | float64 | uint64](pe *comm.PE, v T, out func(T)) comm.Stepper {
+func newExScanSumStep[T int | int64 | float64 | uint64](pe *comm.PE, acc []T) *exScanSumStep[T] {
 	s := comm.GetPooled[exScanSumStep[T]](pe)
-	*s = exScanSumStep[T]{out: out, acc: v}
+	*s = exScanSumStep[T]{acc: acc}
 	return s
 }
 
-func (s *exScanSumStep[T]) send1(pe *comm.PE, dst int, x T) {
+// ExScanSumStep is the continuation form of ExScanSum.
+func ExScanSumStep[T int | int64 | float64 | uint64](pe *comm.PE, v T, out func(T)) comm.Stepper {
+	b := scalarSlot(v)
+	return newScalarStep(pe, b, newExScanSumStep(pe, *b), out)
+}
+
+func (s *exScanSumStep[T]) send1(pe *comm.PE, dst int) {
 	b := s.pool.Get(1)
-	(*b)[0] = x
+	(*b)[0] = s.acc[0]
 	pe.Send(dst, s.tag, b, WordsOf[T]())
 }
 
@@ -296,7 +229,7 @@ func (s *exScanSumStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
 		switch s.phase {
 		case esphInit:
 			if p == 1 {
-				s.acc = 0
+				s.acc[0] = 0
 				s.phase = esphDone
 				continue
 			}
@@ -315,7 +248,7 @@ func (s *exScanSumStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
 				s.h = pe.IRecv(s.rank-s.d, s.tag)
 			}
 			if s.rank+s.d < p {
-				s.send1(pe, s.rank+s.d, s.acc)
+				s.send1(pe, s.rank+s.d)
 			}
 			s.phase = esphRoundWait
 			if s.h != nil && !s.h.Test() {
@@ -323,7 +256,7 @@ func (s *exScanSumStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
 			}
 		case esphRoundWait:
 			if s.h != nil {
-				s.acc = s.take1() + s.acc
+				s.acc[0] = s.take1() + s.acc[0]
 			}
 			s.d <<= 1
 			s.phase = esphRounds
@@ -332,7 +265,7 @@ func (s *exScanSumStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
 				s.h = pe.IRecv(s.rank-1, s.tag)
 			}
 			if s.rank+1 < p {
-				s.send1(pe, s.rank+1, s.acc)
+				s.send1(pe, s.rank+1)
 			}
 			s.phase = esphShiftWait
 			if s.h != nil && !s.h.Test() {
@@ -340,18 +273,14 @@ func (s *exScanSumStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
 			}
 		case esphShiftWait:
 			if s.h != nil {
-				s.acc = s.take1()
+				s.acc[0] = s.take1()
 			} else {
-				s.acc = 0 // rank 0: exclusive prefix is the identity
+				s.acc[0] = 0 // rank 0: exclusive prefix is the identity
 			}
 			s.phase = esphDone
 		default:
-			out, acc := s.out, s.acc
 			*s = exScanSumStep[T]{}
 			comm.PutPooled(pe, s)
-			if out != nil {
-				out(acc)
-			}
 			return nil
 		}
 	}

@@ -13,11 +13,10 @@ import (
 // staggered direct AllToAll, the binomial Gatherv, and BroadcastScalar.
 // The hypercube router and the chunked gathers are in async_route.go.
 //
-// The reduction and gather engines here are THE implementation: the
+// Each engine here is the only implementation of its collective: the
 // blocking forms in coll.go drive the same steppers through
 // comm.RunSteps, so the two execution modes cannot diverge in results or
-// metered statistics (additionally pinned by the async pairs and the
-// randomized differential fuzz).
+// metered statistics.
 //
 // Result-delivery convention: the *Step forms hand results to the out
 // callback as borrowed views — valid only during the call, backed by
@@ -61,15 +60,15 @@ const (
 // all-gather; non-power-of-two stragglers fold onto partners first —
 // exactly the blocking AllReduce's schedule (which drives this stepper).
 type allReduceAccStep[T any] struct {
-	acc  []T
-	op   func(a, b T) T
-	out  func([]T)
-	pool *commbuf.Pool[T]
-	tag  comm.Tag
-	rank int
-	r    int
+	acc   []T
+	op    func(a, b T) T
+	out   func([]T)
+	pool  *commbuf.Pool[T]
+	tag   comm.Tag
+	rank  int
+	r     int
 	extra int
-	mask int
+	mask  int
 	// Rabenseifner state: the live window [lo, hi), the current level's
 	// split, and the halving history retraced by the all-gather. hist's
 	// backing survives pooling so steady state allocates nothing.
@@ -545,11 +544,10 @@ type allToAllStep[T any] struct {
 
 // AllToAllStep is the continuation form of AllToAll: parts[i] reaches PE
 // i, and visit observes each received part — the own part first, then
-// the staggered sources in exchange order. Unlike the blocking form's
-// per-sender aliasing, visited parts are pooled receiver-side copies
-// valid only during the call (the ownership-transfer framing that makes
-// the stepper allocation-free); the measured words and startups are
-// identical.
+// the staggered sources in exchange order. The own part is parts[rank]
+// itself; every other visited part is a pooled receiver-side copy valid
+// only during the call (the ownership-transfer framing that makes the
+// stepper allocation-free). The blocking AllToAll copies them out.
 func AllToAllStep[T any](pe *comm.PE, parts [][]T, visit func(src int, part []T)) comm.Stepper {
 	s := comm.GetPooled[allToAllStep[T]](pe)
 	*s = allToAllStep[T]{parts: parts, visit: visit}
@@ -759,11 +757,12 @@ func (s *gathervOutStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
 // Scalar broadcast
 // ---------------------------------------------------------------------------
 
-// broadcastScalarStep — see BroadcastScalarStep.
+// broadcastScalarStep is the scalar broadcast engine: the binomial tree
+// on pooled one-element messages, in place on the one-element slot v
+// (root's value on entry, everyone's result on completion).
 type broadcastScalarStep[T any] struct {
 	root  int
-	v     T
-	out   func(T)
+	v     []T
 	pool  *commbuf.Pool[T]
 	tag   comm.Tag
 	vr    int
@@ -772,12 +771,16 @@ type broadcastScalarStep[T any] struct {
 	phase int
 }
 
-// BroadcastScalarStep is the continuation form of BroadcastScalar: the
-// binomial tree on pooled one-element buffers, identical wire schedule.
-func BroadcastScalarStep[T any](pe *comm.PE, root int, v T, out func(T)) comm.Stepper {
+func newBroadcastScalarStep[T any](pe *comm.PE, root int, v []T) *broadcastScalarStep[T] {
 	s := comm.GetPooled[broadcastScalarStep[T]](pe)
-	*s = broadcastScalarStep[T]{root: root, v: v, out: out}
+	*s = broadcastScalarStep[T]{root: root, v: v}
 	return s
+}
+
+// BroadcastScalarStep is the continuation form of BroadcastScalar.
+func BroadcastScalarStep[T any](pe *comm.PE, root int, v T, out func(T)) comm.Stepper {
+	b := scalarSlot(v)
+	return newScalarStep(pe, b, newBroadcastScalarStep(pe, root, *b), out)
 }
 
 func (s *broadcastScalarStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
@@ -810,7 +813,7 @@ func (s *broadcastScalarStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
 				rxAny, _ := s.h.Wait()
 				s.h = nil
 				rx := rxAny.(*[]T)
-				s.v = (*rx)[0]
+				s.v[0] = (*rx)[0]
 				s.pool.Put(rx)
 			}
 			s.phase = 2
@@ -820,18 +823,14 @@ func (s *broadcastScalarStep[T]) Step(pe *comm.PE) *comm.RecvHandle {
 				child := s.vr | s.mask
 				if child < p && child != s.vr {
 					b := s.pool.Get(1)
-					(*b)[0] = s.v
+					(*b)[0] = s.v[0]
 					pe.Send((child+s.root)%p, s.tag, b, w)
 				}
 			}
 			s.phase = 3
 		default:
-			out, v := s.out, s.v
 			*s = broadcastScalarStep[T]{}
 			comm.PutPooled(pe, s)
-			if out != nil {
-				out(v)
-			}
 			return nil
 		}
 	}

@@ -25,13 +25,20 @@
 // a fresh result slice to the caller: ReduceInto/AllReduceInto (with a
 // reused dst), the scalar collectives (AllReduceScalar, SumAll, MinAll,
 // MaxAll, BroadcastScalar, ExScanSum), and Barrier. The slice-returning
-// conveniences (Reduce, AllReduce, InScan, ExScan, AllGatherConcat) still
-// allocate their result — one slice per call, with all internal traffic
+// conveniences (Reduce, AllReduce, InScan, ExScan, AllGatherConcat,
+// AllToAll) still allocate their result, with all internal traffic
 // pooled.
 //
-// The data-movement collectives (Broadcast, Gatherv, AllGatherv, AllToAll)
-// keep their by-reference semantics for the payload: see each function's
+// Broadcast, Gatherv and AllGatherv keep by-reference semantics for the
+// payload, and AllToAll keeps the own part aliased: see each function's
 // aliasing notes.
+//
+// # One engine per collective
+//
+// Every collective is implemented once, as a continuation stepper (the
+// XxxStep forms, see async.go). The blocking functions drive that same
+// stepper to completion with comm.RunSteps, so the two execution modes
+// cannot diverge in results or metered statistics.
 package coll
 
 import (
@@ -85,81 +92,27 @@ func combine[T any](op func(a, b T) T, acc, rx []T) {
 	}
 }
 
-// Barrier synchronizes all PEs (a zero-word all-reduce).
+// Barrier synchronizes all PEs (a one-word all-reduce).
 func Barrier(pe *comm.PE) {
-	AllReduceScalar(pe, int64(0), func(a, b int64) int64 { return a + b })
+	comm.RunSteps(pe, BarrierStep(pe))
 }
 
 // Broadcast distributes root's data to all PEs along a binomial tree and
 // returns it everywhere. Non-root inputs are ignored. The returned slice
 // is shared between PEs in-process and must be treated as read-only; use
-// slices.Clone if mutation is needed.
+// slices.Clone if mutation is needed. The schedule is BroadcastStep's,
+// driven with blocking waits.
 func Broadcast[T any](pe *comm.PE, root int, data []T) []T {
-	p := pe.P()
-	if p == 1 {
-		return data
-	}
-	tag := pe.NextCollTag()
-	vr := (pe.Rank() - root + p) % p
-	// The payload is boxed into an interface once and the same box reused
-	// for every child, so a fan-out of log p sends costs one allocation.
-	var boxed any
-	mask := 1
-	for mask < p {
-		if vr&mask != 0 {
-			parent := ((vr &^ mask) + root) % p
-			rx, _ := pe.Recv(parent, tag)
-			boxed = rx
-			data = rx.([]T)
-			break
-		}
-		mask <<= 1
-	}
-	if boxed == nil {
-		boxed = data
-	}
-	// mask is now the position at which we received (or ≥p for the root);
-	// children sit at vr|m for all m below it.
-	words := sliceWords(data)
-	for mask >>= 1; mask > 0; mask >>= 1 {
-		child := vr | mask
-		if child < p && child != vr {
-			pe.Send((child+root)%p, tag, boxed, words)
-		}
-	}
-	return data
+	var res []T
+	comm.RunSteps(pe, BroadcastStep(pe, root, data, func(r []T) { res = r }))
+	return res
 }
 
-// BroadcastScalar broadcasts a single value from root.
+// BroadcastScalar broadcasts a single value from root. Allocation-free in
+// steady state.
 func BroadcastScalar[T any](pe *comm.PE, root int, v T) T {
-	p := pe.P()
-	if p == 1 {
-		return v
-	}
-	pool := commbuf.For[T]()
-	tag := pe.NextCollTag()
-	vr := (pe.Rank() - root + p) % p
-	mask := 1
-	for mask < p {
-		if vr&mask != 0 {
-			parent := ((vr &^ mask) + root) % p
-			rx := recvOwned[T](pe, parent, tag)
-			v = (*rx)[0]
-			pool.Put(rx)
-			break
-		}
-		mask <<= 1
-	}
-	w := WordsOf[T]()
-	for mask >>= 1; mask > 0; mask >>= 1 {
-		child := vr | mask
-		if child < p && child != vr {
-			b := pool.Get(1)
-			(*b)[0] = v
-			pe.Send((child+root)%p, tag, b, w)
-		}
-	}
-	return v
+	b := scalarSlot(v)
+	return runScalar(pe, b, newBroadcastScalarStep(pe, root, *b))
 }
 
 // Reduce combines the vectors x elementwise with op along a binomial tree;
@@ -208,19 +161,11 @@ func AllReduceInto[T any](pe *comm.PE, dst, x []T, op func(a, b T) T) []T {
 	return dst
 }
 
-// AllReduceScalar is AllReduce for a single value. Allocation-free in
-// steady state.
+// AllReduceScalar is AllReduce for a single value: the all-reduce engine
+// on a one-element slot. Allocation-free in steady state.
 func AllReduceScalar[T any](pe *comm.PE, v T, op func(a, b T) T) T {
-	if pe.P() == 1 {
-		return v
-	}
-	pool := commbuf.For[T]()
-	b := pool.Get(1)
-	(*b)[0] = v
-	comm.RunSteps(pe, newAllReduceAccStep(pe, *b, op, nil))
-	out := (*b)[0]
-	pool.Put(b)
-	return out
+	b := scalarSlot(v)
+	return runScalar(pe, b, newAllReduceAccStep(pe, *b, op, nil))
 }
 
 // addOf, minOf and maxOf are the scalar reduction operators as
@@ -277,55 +222,11 @@ func ExScan[T any](pe *comm.PE, x []T, op func(a, b T) T, identity []T) []T {
 	return res
 }
 
-// ExScanSum returns the exclusive prefix sum of a scalar. Allocation-free
-// in steady state.
+// ExScanSum returns the exclusive prefix sum of a scalar (0 on PE 0).
+// Allocation-free in steady state.
 func ExScanSum[T int | int64 | float64 | uint64](pe *comm.PE, v T) T {
-	p := pe.P()
-	if p == 1 {
-		return 0
-	}
-	pool := commbuf.For[T]()
-	w := WordsOf[T]()
-	rank := pe.Rank()
-	// Inclusive dissemination scan on the scalar.
-	tag := pe.NextCollTag()
-	acc := v
-	for d := 1; d < p; d <<= 1 {
-		var h *comm.RecvHandle
-		if rank-d >= 0 {
-			h = pe.IRecv(rank-d, tag)
-		}
-		if rank+d < p {
-			b := pool.Get(1)
-			(*b)[0] = acc
-			pe.Send(rank+d, tag, b, w)
-		}
-		if h != nil {
-			rxAny, _ := h.Wait()
-			rx := rxAny.(*[]T)
-			acc = (*rx)[0] + acc
-			pool.Put(rx)
-		}
-	}
-	// Shift down by one rank to make it exclusive.
-	tag = pe.NextCollTag()
-	var h *comm.RecvHandle
-	if rank > 0 {
-		h = pe.IRecv(rank-1, tag)
-	}
-	if rank+1 < p {
-		b := pool.Get(1)
-		(*b)[0] = acc
-		pe.Send(rank+1, tag, b, w)
-	}
-	if rank == 0 {
-		return 0
-	}
-	rxAny, _ := h.Wait()
-	rx := rxAny.(*[]T)
-	out := (*rx)[0]
-	pool.Put(rx)
-	return out
+	b := scalarSlot(v)
+	return runScalar(pe, b, newExScanSumStep(pe, *b))
 }
 
 // rankedBlock carries a PE's contribution through a gather tree.
@@ -466,29 +367,21 @@ func AllGatherConcat[T any](pe *comm.PE, data []T) []T {
 
 // AllToAll delivers parts[i] from every PE to PE i; the result is indexed
 // by source rank. Direct point-to-point delivery: p-1 startups per PE,
-// pairwise-staggered to avoid hot spots. The self-part out[rank] aliases
-// parts[rank] (no copy — pinned by tests), and received parts alias the
-// senders' slices; treat the result as read-only.
+// pairwise-staggered to avoid hot spots (AllToAllStep's schedule, driven
+// with blocking waits). The self-part out[rank] aliases parts[rank] (no
+// copy — pinned by tests); every received part is a caller-owned copy
+// (nil when empty), so neither side's later mutations reach the other.
+// parts itself is not retained after AllToAll returns.
 func AllToAll[T any](pe *comm.PE, parts [][]T) [][]T {
-	p := pe.P()
-	if len(parts) != p {
-		panic(fmt.Sprintf("coll: AllToAll needs %d parts, got %d", p, len(parts)))
-	}
-	out := make([][]T, p)
-	out[pe.Rank()] = parts[pe.Rank()]
-	if p == 1 {
-		return out
-	}
-	tag := pe.NextCollTag()
+	out := make([][]T, pe.P())
 	rank := pe.Rank()
-	for i := 1; i < p; i++ {
-		dst := (rank + i) % p
-		src := (rank - i + p) % p
-		h := pe.IRecv(src, tag)
-		pe.Send(dst, tag, parts[dst], sliceWords(parts[dst]))
-		rx, _ := h.Wait()
-		out[src] = rx.([]T)
-	}
+	comm.RunSteps(pe, AllToAllStep(pe, parts, func(src int, part []T) {
+		if src == rank {
+			out[src] = part
+		} else {
+			out[src] = append([]T(nil), part...)
+		}
+	}))
 	return out
 }
 

@@ -14,6 +14,7 @@ var peCounts = []int{1, 2, 3, 4, 5, 7, 8, 12, 16, 17}
 func runOn(t *testing.T, p int, body func(pe *comm.PE)) *comm.Machine {
 	t.Helper()
 	m := comm.NewMachine(comm.DefaultConfig(p))
+	t.Cleanup(m.Close)
 	if err := m.Run(body); err != nil {
 		t.Fatalf("p=%d: %v", p, err)
 	}
@@ -40,6 +41,7 @@ func TestBroadcast(t *testing.T) {
 func TestBroadcastLogStartups(t *testing.T) {
 	// Bottleneck startups must be O(log p), not O(p).
 	m := comm.NewMachine(comm.DefaultConfig(64))
+	defer m.Close()
 	m.MustRun(func(pe *comm.PE) {
 		Broadcast(pe, 0, []int64{1})
 	})
@@ -198,6 +200,7 @@ func TestAllGatherDisseminationBounds(t *testing.T) {
 	// every binomial child (Θ(total·log p) at the bottleneck).
 	const p, blockLen = 64, 4
 	m := comm.NewMachine(comm.DefaultConfig(p))
+	defer m.Close()
 	m.MustRun(func(pe *comm.PE) {
 		data := make([]int64, blockLen)
 		for i := range data {
@@ -341,6 +344,7 @@ func TestAllToAllCombineNoCombineHook(t *testing.T) {
 
 func TestAllToAllCombineLogStartups(t *testing.T) {
 	m := comm.NewMachine(comm.DefaultConfig(64))
+	defer m.Close()
 	m.MustRun(func(pe *comm.PE) {
 		items := make([]Routed[uint64], 64)
 		for d := range items {
@@ -383,6 +387,7 @@ func TestAllReduceLongVolumeIndependentOfP(t *testing.T) {
 	const n = 4096
 	vol := func(p int) int64 {
 		m := comm.NewMachine(comm.DefaultConfig(p))
+		defer m.Close()
 		m.MustRun(func(pe *comm.PE) {
 			x := make([]int64, n)
 			AllReduce(pe, x, func(a, b int64) int64 { return a + b })
@@ -423,6 +428,7 @@ func TestBitonicMergePositions(t *testing.T) {
 				wantPos[k] = i
 			}
 			m := comm.NewMachine(comm.DefaultConfig(p))
+			defer m.Close()
 			m.MustRun(func(pe *comm.PE) {
 				pa, pb := BitonicMergePositions(pe, aKeys[pe.Rank()], bKeys[pe.Rank()])
 				if pa != wantPos[aKeys[pe.Rank()]] {
@@ -439,6 +445,7 @@ func TestBitonicMergePositions(t *testing.T) {
 func TestBitonicMergeLogStartups(t *testing.T) {
 	const p = 64
 	m := comm.NewMachine(comm.DefaultConfig(p))
+	defer m.Close()
 	m.MustRun(func(pe *comm.PE) {
 		BitonicMergePositions(pe, uint64(pe.Rank())*2, uint64(pe.Rank())*2+1+128)
 	})

@@ -88,10 +88,9 @@ func TestIRecvFIFOPerSource(t *testing.T) {
 	}
 }
 
-// TestISendAndWaitAll exercises the symmetric half of the API: ISend
-// handles complete immediately, and WaitAll folds a batch of receives in
-// slice order.
-func TestISendAndWaitAll(t *testing.T) {
+// TestSendAndWaitAll posts a batch of receives, answers them with plain
+// sends, and checks that WaitAll folds the batch in slice order.
+func TestSendAndWaitAll(t *testing.T) {
 	m := NewMachine(MailboxConfig(4))
 	defer m.Close()
 	m.MustRun(func(pe *PE) {
@@ -102,11 +101,7 @@ func TestISendAndWaitAll(t *testing.T) {
 			hs = append(hs, pe.IRecv((pe.Rank()-i+p)%p, tag))
 		}
 		for i := 1; i < p; i++ {
-			sh := pe.ISend((pe.Rank()+i)%p, tag, nil, 1)
-			if !sh.Test() {
-				t.Error("ISend handle not complete")
-			}
-			sh.Wait()
+			pe.Send((pe.Rank()+i)%p, tag, nil, 1)
 		}
 		WaitAll(hs...)
 	})
@@ -361,6 +356,7 @@ func TestRunAsyncInterleavedWithBlockingRuns(t *testing.T) {
 	ma := NewMachine(MailboxConfig(p))
 	defer ma.Close()
 	mb := NewMachine(MatrixConfig(p))
+	defer mb.Close()
 	for i := 0; i < 4; i++ {
 		out := make([]int64, p)
 		ma.MustRunAsync(cascadeStart(Tag(50+i), out))

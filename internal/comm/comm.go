@@ -16,15 +16,15 @@
 // maximum of its own clock and the stamp. Local computation is not added
 // to the virtual clock.
 //
-// Communication is available in blocking form (Send/Recv/SendRecv) and
-// non-blocking form (ISend/IRecv handles with Test/Wait/WaitAll — the
-// MPI_Irecv/MPI_Wait shape the paper's substrate assumes); Recv is sugar
-// for IRecv+Wait, and the meter folds at Wait in program order, so both
-// forms are bit-identical in results and statistics. PE bodies likewise
-// run in two forms: blocking (Machine.Run) or continuation-scheduled
-// (Machine.RunAsync over Stepper bodies), where a wait on an unbound
-// handle suspends the body as data instead of parking a goroutine — see
-// async.go.
+// Sends take one path (Send, or SendRecv for an exchange). Receives come
+// in blocking form (Recv) and non-blocking form (IRecv handles with
+// Test/Wait/WaitAll — the MPI_Irecv/MPI_Wait shape the paper's substrate
+// assumes); Recv is sugar for IRecv+Wait, and the meter folds at Wait in
+// program order, so both forms are bit-identical in results and
+// statistics. PE bodies likewise run in two forms: blocking
+// (Machine.Run) or continuation-scheduled (Machine.RunAsync over Stepper
+// bodies), where a wait on an unbound handle suspends the body as data
+// instead of parking a goroutine — see async.go.
 //
 // # Backends
 //
@@ -137,24 +137,6 @@ type Config struct {
 	// metering are identical either way (only host-side contention
 	// changes); the serving suite measures both.
 	GlobalReadyQueue bool
-	// AsyncSendBuffer (channel matrix only) makes ISend truly
-	// non-blocking: a send that finds its channel full is buffered in a
-	// per-PE pending FIFO instead of blocking, and drains at the next
-	// blocking point (a parked receive offers the pending head while it
-	// waits, SendHandle.Wait and blocking Send flush, and the end of the
-	// PE body flushes the rest). The meter is unchanged — clock, word and
-	// startup counters advance at post time with the same depart stamp the
-	// eager path would produce — so posted-order semantics become
-	// observable (head-to-head exchanges beyond ChanCap complete instead
-	// of deadlocking) while results and statistics stay bit-identical.
-	// Mailbox sends never block, so the knob is meaningless there.
-	AsyncSendBuffer bool
-	// PopBatch is the mailbox scheduler's cursor-claim batch size: how
-	// many ranks a shard driver claims per atomic (0 selects the default,
-	// 8). A host-side scheduling constant only — results and metering are
-	// independent of it (see mailbox.Sched.SetPopBatch); the serving
-	// suite exposes it for the adaptive-popBatch measurement hook.
-	PopBatch int
 	// Remote windows a BackendWire machine to its process-local
 	// contiguous rank range (required for BackendWire, ignored
 	// otherwise). See BackendWire.
@@ -278,12 +260,6 @@ type message struct {
 	data   any
 }
 
-// pendingSend is one buffered ISend awaiting channel capacity.
-type pendingSend struct {
-	dst int
-	msg message
-}
-
 // Machine is a simulated cluster of PEs. Create one with NewMachine, run
 // SPMD programs with Run, and read aggregate statistics with Stats.
 type Machine struct {
@@ -363,9 +339,6 @@ func NewMachine(cfg Config) *Machine {
 			m.boxes[i] = mailbox.New()
 		}
 		m.sched = mailbox.NewSchedReady(nLocal, SchedWorkers(cfg), !cfg.GlobalReadyQueue)
-		if cfg.PopBatch > 0 {
-			m.sched.SetPopBatch(cfg.PopBatch)
-		}
 		// Send indexes sendBoxes by global destination rank; on the wire
 		// backend the non-local entries stay nil and Send falls through to
 		// the Remote.Forward transport hook.
@@ -394,8 +367,6 @@ func NewMachine(cfg Config) *Machine {
 			pe.box = m.boxes[i]
 			pe.sendBoxes = sendBoxes
 			pe.sched = m.sched
-		} else {
-			pe.asyncBuf = cfg.AsyncSendBuffer
 		}
 		m.pes[i] = pe
 	}
@@ -505,10 +476,6 @@ func (m *Machine) Run(body func(pe *PE)) error {
 					}
 				}()
 				body(pe)
-				// Buffered ISends the body never waited on must still be
-				// delivered before the PE retires (a peer may be blocked
-				// receiving them).
-				pe.flushPending(pe.pendTotal)
 			}()
 		}
 		wg.Wait()
@@ -827,16 +794,6 @@ type PE struct {
 	freeH            *RecvHandle
 	step             Stepper
 
-	// Buffered-ISend state (channel matrix with Config.AsyncSendBuffer):
-	// the pending FIFO of posted-but-undelivered sends, its consumed-head
-	// index, and the monotone posted/delivered counters SendHandle
-	// completion is judged against.
-	asyncBuf  bool
-	pendQ     []pendingSend
-	pendHead  int
-	pendTotal uint64
-	pendDone  uint64
-
 	scratch map[scratchKey]any
 	// pools holds the per-PE typed freelists of pooled stepper state
 	// (see steppool.go). Like scratch, it is only touched by the
@@ -976,9 +933,6 @@ func (pe *PE) Send(dst int, tag Tag, data any, words int64) {
 	if dst == pe.rank {
 		panic(fmt.Sprintf("comm: PE %d: self-send is not modeled; keep data local", pe.rank))
 	}
-	// Earlier buffered ISends must hit the wire first (per-sender FIFO is
-	// a transport guarantee the receivers' tag discipline relies on).
-	pe.flushPending(pe.pendTotal)
 	pe.clock += pe.alpha + pe.beta*float64(words)
 	pe.sentWords += words
 	pe.sends++

@@ -7,6 +7,7 @@ import (
 
 func TestAccessors(t *testing.T) {
 	m := NewMachine(Config{P: 3, Alpha: 7, Beta: 2, ChanCap: 4, Seed: 5})
+	defer m.Close()
 	if m.P() != 3 {
 		t.Errorf("Machine.P = %d", m.P())
 	}
@@ -44,6 +45,7 @@ func TestAccessors(t *testing.T) {
 
 func TestCollTagSequenceSynchronized(t *testing.T) {
 	m := NewMachine(DefaultConfig(4))
+	defer m.Close()
 	tags := make([][]Tag, 4)
 	m.MustRun(func(pe *PE) {
 		for i := 0; i < 5; i++ {
@@ -67,6 +69,7 @@ func TestCollTagSequenceSynchronized(t *testing.T) {
 
 func TestWaitTimeAccumulates(t *testing.T) {
 	m := NewMachine(DefaultConfig(2))
+	defer m.Close()
 	m.MustRun(func(pe *PE) {
 		if pe.Rank() == 1 {
 			time.Sleep(20 * time.Millisecond)
@@ -85,6 +88,7 @@ func TestReceiverPaysTransferTime(t *testing.T) {
 	// time even though all senders transmit concurrently.
 	const p = 9
 	m := NewMachine(Config{P: p, Alpha: 1, Beta: 0, ChanCap: p})
+	defer m.Close()
 	m.MustRun(func(pe *PE) {
 		const tag Tag = 4
 		if pe.Rank() == 0 {
@@ -102,6 +106,7 @@ func TestReceiverPaysTransferTime(t *testing.T) {
 
 func TestMustRunPanicsOnError(t *testing.T) {
 	m := NewMachine(DefaultConfig(2))
+	defer m.Close()
 	defer func() {
 		if recover() == nil {
 			t.Error("MustRun should panic on PE failure")
@@ -117,6 +122,7 @@ func TestMustRunPanicsOnError(t *testing.T) {
 
 func TestSendToInvalidRank(t *testing.T) {
 	m := NewMachine(DefaultConfig(2))
+	defer m.Close()
 	if err := m.Run(func(pe *PE) {
 		if pe.Rank() == 0 {
 			pe.Send(5, 1, nil, 0)
@@ -137,6 +143,7 @@ func TestChanCapBackpressure(t *testing.T) {
 	// ChanCap 1 forces the sender to block on the second message until
 	// the receiver drains — exercising the slow Send path.
 	m := NewMachine(Config{P: 2, Alpha: 1, Beta: 1, ChanCap: 1})
+	defer m.Close()
 	m.MustRun(func(pe *PE) {
 		const tag Tag = 6
 		if pe.Rank() == 0 {

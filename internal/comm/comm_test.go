@@ -7,6 +7,7 @@ import (
 
 func TestMachineBasicSendRecv(t *testing.T) {
 	m := NewMachine(DefaultConfig(2))
+	defer m.Close()
 	err := m.Run(func(pe *PE) {
 		const tag Tag = 7
 		if pe.Rank() == 0 {
@@ -26,6 +27,7 @@ func TestMachineBasicSendRecv(t *testing.T) {
 
 func TestMachineCounters(t *testing.T) {
 	m := NewMachine(Config{P: 2, Alpha: 10, Beta: 2, ChanCap: 4, Seed: 1})
+	defer m.Close()
 	m.MustRun(func(pe *PE) {
 		const tag Tag = 1
 		if pe.Rank() == 0 {
@@ -53,6 +55,7 @@ func TestMachineCounters(t *testing.T) {
 func TestVirtualClockCriticalPath(t *testing.T) {
 	// A 3-hop relay: clock should accumulate along the chain, not in parallel.
 	m := NewMachine(Config{P: 4, Alpha: 1, Beta: 0, ChanCap: 4})
+	defer m.Close()
 	m.MustRun(func(pe *PE) {
 		const tag Tag = 2
 		switch pe.Rank() {
@@ -75,6 +78,7 @@ func TestVirtualClockCriticalPath(t *testing.T) {
 
 func TestRunPropagatesPanic(t *testing.T) {
 	m := NewMachine(DefaultConfig(4))
+	defer m.Close()
 	err := m.Run(func(pe *PE) {
 		if pe.Rank() == 2 {
 			panic("boom")
@@ -94,6 +98,7 @@ func TestRunPropagatesPanic(t *testing.T) {
 
 func TestTagMismatchDetected(t *testing.T) {
 	m := NewMachine(DefaultConfig(2))
+	defer m.Close()
 	err := m.Run(func(pe *PE) {
 		if pe.Rank() == 0 {
 			pe.Send(1, 5, nil, 0)
@@ -108,6 +113,7 @@ func TestTagMismatchDetected(t *testing.T) {
 
 func TestSelfSendPanics(t *testing.T) {
 	m := NewMachine(DefaultConfig(2))
+	defer m.Close()
 	err := m.Run(func(pe *PE) {
 		if pe.Rank() == 0 {
 			pe.Send(0, 1, nil, 0)
@@ -120,6 +126,7 @@ func TestSelfSendPanics(t *testing.T) {
 
 func TestResetStats(t *testing.T) {
 	m := NewMachine(DefaultConfig(2))
+	defer m.Close()
 	m.MustRun(func(pe *PE) {
 		if pe.Rank() == 0 {
 			pe.Send(1, 1, nil, 4)
@@ -136,6 +143,7 @@ func TestResetStats(t *testing.T) {
 
 func TestSendRecvExchange(t *testing.T) {
 	m := NewMachine(DefaultConfig(2))
+	defer m.Close()
 	m.MustRun(func(pe *PE) {
 		partner := 1 - pe.Rank()
 		rx, _ := pe.SendRecv(partner, []int{pe.Rank()}, 1, partner, 3)
@@ -159,6 +167,7 @@ func TestManyPEsAllExchange(t *testing.T) {
 	// mailbox twin lives in backend_test.go).
 	const p = 16
 	m := NewMachine(MatrixConfig(p))
+	defer m.Close()
 	m.MustRun(func(pe *PE) {
 		const tag Tag = 11
 		for i := 1; i < p; i++ {

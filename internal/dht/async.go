@@ -220,7 +220,7 @@ func (s *selectTopKStep) Step(pe *comm.PE) *comm.RecvHandle {
 			return s.finish(pe, s.res)
 		case tphKthWait:
 			// Band the local entries around the selected threshold — see the
-			// compress rationale in the blocking selectTopKItems.
+			// compress rationale in SelectTopKTable.
 			thrCount := int64(^s.thr)
 			nSel, nTied := qsel.Rank(s.ords, s.thr)
 			tiedTmp := comm.ScratchSlice[KV](pe, "dht.topk.tied", nTied)[:0]

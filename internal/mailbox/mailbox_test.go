@@ -236,6 +236,40 @@ func TestSchedParkUnparkStress(t *testing.T) {
 	}
 }
 
+// TestSchedShardStartNotStrandedByHandOff pins that a shard's run start
+// survives its permanent worker being busy elsewhere. Every body blocks
+// until all ranks have started, so the first parked body hands its shard
+// to whichever worker is idle — possibly one whose own start signal for
+// this run is still pending. That worker then blocks in the handed-off
+// body; its own shard must still start, or the run deadlocks.
+func TestSchedShardStartNotStrandedByHandOff(t *testing.T) {
+	const p, w, runs = 128, 64, 200
+	sc := NewSched(p, w)
+	defer sc.Close()
+	for run := 0; run < runs; run++ {
+		var started atomic.Int32
+		all := make(chan struct{})
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			sc.Run(func(rank int) bool {
+				if started.Add(1) == p {
+					close(all)
+					return true
+				}
+				sc.WillPark(rank)
+				<-all
+				return true
+			})
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("run %d: %d of %d ranks started; a shard was never driven", run, started.Load(), p)
+		}
+	}
+}
+
 // TestArmFiresNotifyOnPut pins the Arm contract: a queued message makes
 // Arm refuse (consumer proceeds synchronously); otherwise the next Put
 // from the armed sender fires notify exactly once, and traffic from other

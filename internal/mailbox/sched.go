@@ -19,7 +19,10 @@ import (
 //     shard's queue in small batches (one atomic per popBatch ranks) and
 //     runs each PE body inline on its own stack; a Run whose bodies
 //     never block dispatches entirely on these w goroutines and
-//     allocates nothing.
+//     allocates nothing. However a worker wakes, it first claims its own
+//     shard for the current run, so a worker handed another shard
+//     before its kick arrives passes its own shard on rather than
+//     stranding it behind a blocked body.
 //   - A body may finish a call to exec in one of three ways. Returning
 //     true means the rank is done. Returning false means the body
 //     suspended itself as a continuation (comm.RunAsync): it armed its
@@ -69,13 +72,20 @@ type Sched struct {
 	// < remHi). WillPark spills it so a hand-off never strands claimed
 	// ranks. Same single-goroutine access discipline as driverOf.
 	remHi []int32
-	// kick[i] (buffered, cap 1) starts permanent worker i on its own
-	// shard; work hands a parked driver's shard to whichever permanent
-	// worker is between assignments. work is unbuffered: a send succeeds
-	// only if a worker is actually parked in receive, so hand-off never
-	// blocks (transient spawn on the miss) and never strands a role.
+	// kick[i] (buffered, cap 1) wakes permanent worker i for a new run;
+	// work hands a parked driver's shard to whichever permanent worker is
+	// between assignments. work is unbuffered: a send succeeds only if a
+	// worker is actually parked in receive, so hand-off never blocks
+	// (transient spawn on the miss) and never strands a role.
 	kick []chan struct{}
 	work chan int32
+	// run counts Runs. ownRun[i] is the last run in which worker i has
+	// claimed its own shard (claimOwn): driven it, or passed it on when a
+	// hand-off reached the worker before its kick. A worker blocked in a
+	// handed-off body when its kick lands thus never strands its shard.
+	// ownRun[i] is only touched by worker i.
+	run    atomic.Uint32
+	ownRun []uint32
 	// The ready queue of resumed continuation ranks: intrusive FIFOs
 	// threaded through readyNext, drained by whichever driver or idle
 	// worker sees it first. readyCh (buffered, cap w) carries coalesced
@@ -99,9 +109,6 @@ type Sched struct {
 	wg      sync.WaitGroup
 	exec    func(rank int) bool
 	started bool
-	// popBatch is the batch size of cursor claims (SetPopBatch; default
-	// defaultPopBatch). Read-only once the first Run has started.
-	popBatch int32
 
 	closeOnce sync.Once
 }
@@ -109,7 +116,8 @@ type Sched struct {
 // defaultPopBatch is the number of ranks a driver claims per cursor
 // atomic: the hand-off churn constant. A parked driver's unrun remainder
 // is spilled (see WillPark), so batching never strands ranks behind a
-// sleeping body. Configurable per scheduler via SetPopBatch.
+// sleeping body. A host-side scheduling constant only: results and
+// metering are independent of it.
 const defaultPopBatch = 8
 
 // shard is one run queue: the contiguous rank range [lo, hi), the cursor
@@ -187,8 +195,8 @@ func NewSchedReady(p, w int, sharded bool) *Sched {
 		readyTail: -1,
 		kick:      make([]chan struct{}, w),
 		work:      make(chan int32),
+		ownRun:    make([]uint32, w),
 		readyCh:   make(chan struct{}, w),
-		popBatch:  defaultPopBatch,
 	}
 	for i := range sc.shards {
 		sc.shards[i].lo = i * p / w
@@ -215,18 +223,6 @@ func NewSchedReady(p, w int, sharded bool) *Sched {
 // Workers returns the shard count w.
 func (sc *Sched) Workers() int { return len(sc.shards) }
 
-// SetPopBatch sets the number of ranks a driver claims per cursor atomic
-// (clamped to ≥ 1; the default is 8). Larger batches amortize the cursor
-// atomic but lengthen the remainder a parking body must spill; results
-// and metering are independent of the value — it is a host-side
-// scheduling constant only. Must be called before the first Run.
-func (sc *Sched) SetPopBatch(n int) {
-	if n < 1 {
-		n = 1
-	}
-	sc.popBatch = int32(n)
-}
-
 // Run executes exec(rank) for every rank and blocks until every rank is
 // done. exec reports whether the rank completed: false means the body
 // suspended itself (after arming its mailbox) and will be re-executed —
@@ -239,6 +235,9 @@ func (sc *Sched) Run(exec func(rank int) bool) {
 	for i := range sc.shards {
 		sc.shards[i].next.Store(int32(sc.shards[i].lo))
 	}
+	// Publish the run only after the cursors are reset: a worker that sees
+	// it may claim and drive its shard before its kick arrives.
+	sc.run.Add(1)
 	if !sc.started {
 		sc.started = true
 		for i := range sc.kick {
@@ -246,7 +245,12 @@ func (sc *Sched) Run(exec func(rank int) bool) {
 		}
 	}
 	for i := range sc.kick {
-		sc.kick[i] <- struct{}{}
+		select {
+		case sc.kick[i] <- struct{}{}:
+		default:
+			// A stale kick is still pending; it wakes the worker, which
+			// then claims its shard for this run.
+		}
 	}
 	sc.wg.Wait()
 	sc.exec = nil
@@ -339,10 +343,12 @@ func (sc *Sched) popReady(pref int32) int {
 	return -1
 }
 
-// worker is a permanent scheduler goroutine: kicked once per Run for its
-// own shard, available for driver hand-offs from parked bodies in any
-// shard, and woken by readyCh to resume suspended continuation bodies —
-// all between assignments.
+// worker is a permanent scheduler goroutine: woken by its kick once per
+// Run, by driver hand-offs from parked bodies in any shard, and by
+// readyCh to resume suspended continuation bodies. Whatever woke it, it
+// first claims its own shard for the current run, then drains the ready
+// queue before it parks again — so it never leaves draining duty to a
+// transient.
 func (sc *Sched) worker(kick chan struct{}, own int32) {
 	for {
 		select {
@@ -350,27 +356,40 @@ func (sc *Sched) worker(kick chan struct{}, own int32) {
 			if !ok {
 				return
 			}
-			sc.drive(own)
 		case s, ok := <-sc.work:
 			if !ok {
 				return
 			}
-			if s < 0 {
-				// Ready-queue hand-off from a parking role-less body (see
-				// WillPark): there is no shard to drive, only resumes.
-				sc.drainReady()
-			} else {
+			if s >= 0 {
+				// A parked driver's shard cannot wait behind ours, whose
+				// bodies may block too: pass our unstarted shard on first.
+				if sc.claimOwn(own) {
+					sc.handOff(own)
+				}
 				sc.drive(s)
 			}
 		case <-sc.readyCh:
-			sc.drainReady()
 		}
+		if sc.claimOwn(own) {
+			sc.drive(own)
+		}
+		sc.drainReady()
 	}
+}
+
+// claimOwn reports whether worker own has not yet claimed its shard in
+// the current run, and claims it. Called only by worker own.
+func (sc *Sched) claimOwn(own int32) bool {
+	r := sc.run.Load()
+	if sc.ownRun[own] == r {
+		return false
+	}
+	sc.ownRun[own] = r
+	return true
 }
 
 // drainReady runs resumed ranks until every ready queue is empty.
 func (sc *Sched) drainReady() {
-	defer sc.offDuty()
 	for {
 		r := sc.popReady(-1)
 		if r < 0 {
@@ -380,15 +399,16 @@ func (sc *Sched) drainReady() {
 	}
 }
 
-// offDuty runs as a goroutine leaves scheduling duty — a transient
-// exiting, or a worker about to return to its select loop. If resumed
-// ranks are waiting, hand the draining duty off: the readyCh token that
-// accompanied their Ready is only consumable by a worker parked in
-// select, and every permanent worker may be blocked inside a body whose
-// progress depends on exactly those ranks (found by review: a transient
-// finishing a formerly-parked body exited here while the last Ready of
-// the run sat unserviced — deadlock at w = 1). A spurious hand-off when
-// another goroutine drains the queue first is benign.
+// offDuty runs as a goroutine leaves scheduling duty without returning
+// to a worker's select loop: a transient exiting, or a role-less body
+// about to block. If resumed ranks are waiting, hand the draining duty
+// off: the readyCh token that accompanied their Ready is only consumable
+// by a worker parked in select, and every permanent worker may be
+// blocked inside a body whose progress depends on exactly those ranks
+// (found by review: a transient finishing a formerly-parked body exited
+// here while the last Ready of the run sat unserviced — deadlock at
+// w = 1). A spurious hand-off when another goroutine drains the queue
+// first is benign.
 func (sc *Sched) offDuty() {
 	if sc.readyCount.Load() > 0 {
 		sc.handOff(-1)
@@ -402,19 +422,25 @@ func (sc *Sched) handOff(s int32) {
 	select {
 	case sc.work <- s:
 	default:
-		if s < 0 {
-			go sc.drainReady()
-		} else {
-			go sc.drive(s)
-		}
+		go sc.transient(s)
 	}
+}
+
+// transient is the body of a goroutine handOff spawned: it drives shard
+// s (s ≥ 0), drains the ready queue, and hands on any draining duty that
+// arrived meanwhile before it exits.
+func (sc *Sched) transient(s int32) {
+	if s >= 0 {
+		sc.drive(s)
+	}
+	sc.drainReady()
+	sc.offDuty()
 }
 
 // drive runs shard s's pending work — resumed continuation ranks first,
 // then spilled batch remainders, then fresh cursor batches — until
 // nothing is left or the running body hands the driver role away.
 func (sc *Sched) drive(s int32) {
-	defer sc.offDuty()
 	sh := &sc.shards[s]
 	for {
 		if r := sc.popReady(s); r >= 0 {
@@ -431,12 +457,11 @@ func (sc *Sched) drive(s int32) {
 				continue
 			}
 		}
-		pb := sc.popBatch
-		lo := int(sh.next.Add(pb)-pb)
+		lo := int(sh.next.Add(defaultPopBatch) - defaultPopBatch)
 		if lo >= sh.hi {
 			return
 		}
-		hi := min(lo+int(pb), sh.hi)
+		hi := min(lo+defaultPopBatch, sh.hi)
 		if !sc.runSpan(s, span{int32(lo), int32(hi)}) {
 			return
 		}

@@ -170,12 +170,11 @@ func SmallestK[K cmp.Ordered](pe *comm.PE, local []K, k int64, rng *xrand.RNG) [
 //
 // The redistribution groups elements by destination with a counting sort
 // into one flat send buffer instead of p growing append slices, so the
-// host-side cost is O(n/p) time and a single allocation per call (the
-// flat buffer, which is sent by reference and therefore must not be a
-// reused scratch buffer: receivers may still read it after this PE moves
-// on). The old per-element append behavior inflated the baseline's
-// wall-clock constant and flattered the new algorithm's measured win —
-// the communication metrics were always honest.
+// host-side cost is O(n/p) time. The flat buffer is per-PE scratch:
+// AllToAll hands receivers their own copies, so nothing reads it after
+// the exchange. The old per-element append behavior inflated the
+// baseline's wall-clock constant and flattered the new algorithm's
+// measured win — the communication metrics were always honest.
 func KthRandomized[K cmp.Ordered](pe *comm.PE, local []K, k int64, rng *xrand.RNG) K {
 	p := pe.P()
 	if p == 1 {
@@ -196,7 +195,7 @@ func KthRandomized[K cmp.Ordered](pe *comm.PE, local []K, k int64, rng *xrand.RN
 		offs[d] = off
 		off += c
 	}
-	flat := make([]K, len(local))
+	flat := comm.ScratchSlice[K](pe, "sel.rand.flat", len(local))
 	parts := comm.ScratchSlice[[]K](pe, "sel.rand.parts", p)
 	off = 0
 	for d, c := range counts {

@@ -130,19 +130,6 @@ func TestServeRankValidationAndOverload(t *testing.T) {
 	}
 }
 
-// TestServeMatrixUnsupportedAsyncBuf pins the documented hole: the
-// channel matrix with buffered posting is rejected at construction, not
-// discovered as a deadlock.
-func TestServeMatrixUnsupportedAsyncBuf(t *testing.T) {
-	cfg := comm.MatrixConfig(2)
-	cfg.AsyncSendBuffer = true
-	m := comm.NewMachine(cfg)
-	defer m.Close()
-	if _, err := NewServer(m, make([][]uint64, 2), Config{}); err == nil {
-		t.Fatal("AsyncSendBuffer matrix accepted")
-	}
-}
-
 // TestServeConcurrentStress is the -race job: many goroutines submit
 // against one server at full inflight depth while results are verified
 // against the oracle. Exercises keyed demux, context leasing, ArmKeys
