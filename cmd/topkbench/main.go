@@ -27,8 +27,8 @@
 // `-exp serve` (also not part of `all`) runs the multi-tenant serving
 // axis: open-loop QPS and p50/p95/p99 completion latency of the
 // internal/serve front end at a calibrated offered rate, comparing
-// sequential vs interleaved inflight and sharded vs global scheduler
-// ready queues; `-quick` is the CI smoke tier (fewer queries).
+// sequential vs interleaved inflight; `-quick` is the CI smoke tier
+// (fewer queries).
 // `-cpuprofile f` / `-memprofile f` write pprof profiles of any run.
 //
 // Benchmark pipeline mode (see EXPERIMENTS.md § Benchmark pipeline):

@@ -2,7 +2,6 @@ package comm
 
 import (
 	"fmt"
-	"reflect"
 	"runtime/debug"
 	"time"
 
@@ -12,8 +11,8 @@ import (
 // Non-blocking receives: IRecv handles with Test/Wait/WaitAll, and
 // continuation-scheduled PE bodies (Stepper, Machine.RunAsync). Sends
 // need no handle: mailbox intake is unbounded, so Send never blocks
-// there, and on the channel matrix Send blocks only while the
-// destination channel holds ChanCap undelivered messages.
+// there, and on the channel matrix Send blocks only while its channel to
+// the destination is full.
 //
 // The paper's machine model assumes an MPI-like substrate where a PE can
 // post a receive, keep computing, and synchronize later (MPI_Irecv /
@@ -27,9 +26,10 @@ import (
 //	virtual clock, word and receive counters — advances in program
 //	order, exactly like a blocking Recv at that point)
 //
-// — so Recv is literally IRecv followed by Wait, both backends share the
-// metering layer, and the two forms are bit-identical in results and
-// statistics (pinned by the differential suite).
+// — so Recv is literally IRecv followed by Wait, every backend shares
+// this layer (it talks only to the PE's intake), and the two forms are
+// bit-identical in results and statistics (pinned by the differential
+// suite).
 //
 // # Handle discipline
 //
@@ -73,7 +73,7 @@ type RecvHandle struct {
 	ctx   uint32 // the PE's communication context at posting time
 	tag   Tag
 	state uint8
-	msg   message
+	msg   mailbox.Msg
 	// prev/next link the PE's outstanding list while posted, and the
 	// freelist (next only) while free.
 	prev, next *RecvHandle
@@ -97,7 +97,7 @@ func (pe *PE) IRecv(src int, tag Tag) *RecvHandle {
 	// for the stream is pending), binding now keeps Test O(1) and Wait
 	// free of transport calls on the fast path.
 	if h.prevPendingFor(src, h.ctx) == nil {
-		if msg, ok := pe.takeTry(src, h.ctx); ok {
+		if msg, ok := pe.in.TryTakeKey(mailbox.Key(src, h.ctx)); ok {
 			pe.bindMsg(h, msg)
 		}
 	}
@@ -117,7 +117,7 @@ func (h *RecvHandle) Test() bool {
 	pe := h.pe
 	for {
 		g := pe.oldestPendingFor(h.src, h.ctx)
-		msg, ok := pe.takeTry(h.src, h.ctx)
+		msg, ok := pe.in.TryTakeKey(mailbox.Key(h.src, h.ctx))
 		if !ok {
 			return false
 		}
@@ -145,17 +145,17 @@ func (h *RecvHandle) Wait() (any, int64) {
 	// Single-ported receive: the transfer occupies this PE for α+βm,
 	// starting no earlier than when the sender started transmitting and
 	// no earlier than the PE's own clock (see Recv).
-	cost := pe.alpha + pe.beta*float64(msg.words)
-	avail := msg.depart - cost
+	cost := pe.alpha + pe.beta*float64(msg.Words)
+	avail := msg.Depart - cost
 	if avail < pe.clock {
 		avail = pe.clock
 	}
 	pe.clock = avail + cost
-	pe.recvWords += msg.words
+	pe.recvWords += msg.Words
 	pe.recvs++
 	pe.outUnlink(h)
 	pe.putHandle(h)
-	return msg.data, msg.words
+	return msg.Data, msg.Words
 }
 
 // WaitAll completes the handles in slice order (meter folds in that
@@ -191,29 +191,29 @@ func (h *RecvHandle) prevPendingFor(src int, ctx uint32) *RecvHandle {
 // oldestPendingFor returns the oldest pending handle for the (src, ctx)
 // stream. The caller guarantees one exists.
 func (pe *PE) oldestPendingFor(src int, ctx uint32) *RecvHandle {
-	if g := pe.oldestPendingForOrNil(src, ctx); g != nil {
-		return g
-	}
-	panic(fmt.Sprintf("comm: PE %d: no pending receive from %d ctx %d", pe.rank, src, ctx))
-}
-
-func (pe *PE) oldestPendingForOrNil(src int, ctx uint32) *RecvHandle {
 	for g := pe.outHead; g != nil; g = g.next {
 		if g.src == src && g.ctx == ctx && g.state == hPending {
 			return g
 		}
 	}
-	return nil
+	panic(fmt.Sprintf("comm: PE %d: no pending receive from %d ctx %d", pe.rank, src, ctx))
 }
 
 // fillUntil blocks taking messages from h's stream, binding them to the
 // pending handles for that stream in posting order, until h is bound.
 func (pe *PE) fillUntil(h *RecvHandle) {
+	key := mailbox.Key(h.src, h.ctx)
 	for h.state != hBound {
 		g := pe.oldestPendingFor(h.src, h.ctx)
-		msg, ok := pe.takeTry(h.src, h.ctx)
+		msg, ok := pe.in.TryTakeKey(key)
 		if !ok {
-			msg = pe.takeBlocking(h.src, h.ctx)
+			pe.m.park(pe.sidx)
+			t0 := time.Now()
+			msg, ok = pe.in.TakeKey(key)
+			pe.waitNs += time.Since(t0).Nanoseconds()
+			if !ok {
+				panic(abortedError{})
+			}
 		}
 		pe.bindMsg(g, msg)
 	}
@@ -221,122 +221,13 @@ func (pe *PE) fillUntil(h *RecvHandle) {
 
 // bindMsg attaches a delivered message to its handle, enforcing the SPMD
 // tag discipline exactly like Recv.
-func (pe *PE) bindMsg(h *RecvHandle, msg message) {
-	if msg.tag != h.tag {
+func (pe *PE) bindMsg(h *RecvHandle, msg mailbox.Msg) {
+	if Tag(msg.Tag) != h.tag {
 		panic(fmt.Sprintf("comm: PE %d: tag mismatch receiving from %d: got %d want %d (desynchronized SPMD program)",
-			pe.rank, h.src, msg.tag, h.tag))
+			pe.rank, h.src, msg.Tag, h.tag))
 	}
 	h.msg = msg
 	h.state = hBound
-}
-
-// fromMsg converts a mailbox message to the metered form.
-func fromMsg(mm mailbox.Msg) message {
-	return message{tag: Tag(mm.Tag), ctx: mm.Ctx, words: mm.Words, depart: mm.Depart, data: mm.Data}
-}
-
-// recvChan returns the channel-matrix channel messages from src arrive
-// on: the matrix column for PEs, the external-injection channel for
-// ExternalSrc.
-func (pe *PE) recvChan(src int) chan message {
-	if src == pe.p {
-		return pe.m.ext[pe.rank]
-	}
-	return pe.m.chans[src][pe.rank]
-}
-
-// stashMsg parks a channel-matrix message taken off src's channel while
-// looking for a different context; takeTry for its own (src, ctx)
-// stream will find it. Stash order is arrival order, so per-stream FIFO
-// survives the detour.
-func (pe *PE) stashMsg(src int, msg message) {
-	key := mailbox.Key(src, msg.ctx)
-	if pe.stash == nil {
-		pe.stash = make(map[uint64]*msgFifo)
-	}
-	f := pe.stash[key]
-	if f == nil {
-		f = &msgFifo{}
-		pe.stash[key] = f
-	}
-	f.q = append(f.q, msg)
-}
-
-// stashTake removes the oldest stashed message for (src, ctx), if any.
-func (pe *PE) stashTake(src int, ctx uint32) (message, bool) {
-	f := pe.stash[mailbox.Key(src, ctx)]
-	if f == nil || f.head >= len(f.q) {
-		return message{}, false
-	}
-	msg := f.q[f.head]
-	f.q[f.head] = message{}
-	f.head++
-	if f.head == len(f.q) {
-		f.q = f.q[:0]
-		f.head = 0
-	}
-	return msg, true
-}
-
-// takeTry removes the next queued message of the (src, ctx) stream
-// without blocking. On the channel matrix, messages of other contexts
-// encountered on the way are stashed per stream (each moved once), the
-// same amortized discipline the mailbox Box applies internally.
-func (pe *PE) takeTry(src int, ctx uint32) (message, bool) {
-	if pe.box != nil {
-		mm, ok := pe.box.TryTakeKey(mailbox.Key(src, ctx))
-		if !ok {
-			return message{}, false
-		}
-		return fromMsg(mm), true
-	}
-	if msg, ok := pe.stashTake(src, ctx); ok {
-		return msg, true
-	}
-	ch := pe.recvChan(src)
-	for {
-		select {
-		case msg := <-ch:
-			if msg.ctx == ctx {
-				return msg, true
-			}
-			pe.stashMsg(src, msg)
-		default:
-			return message{}, false
-		}
-	}
-}
-
-// takeBlocking blocks for the next message of the (src, ctx) stream,
-// accumulating wait time; on machine abort it unwinds via panic. On the
-// mailbox backend it first hands the shard driver role off (WillPark)
-// so queued PE bodies keep starting while this one parks.
-func (pe *PE) takeBlocking(src int, ctx uint32) message {
-	if pe.box != nil {
-		pe.sched.WillPark(pe.sidx)
-		t0 := time.Now()
-		mm, ok := pe.box.TakeKey(mailbox.Key(src, ctx))
-		pe.waitNs += time.Since(t0).Nanoseconds()
-		if !ok {
-			panic(abortedError{})
-		}
-		return fromMsg(mm)
-	}
-	t0 := time.Now()
-	ch := pe.recvChan(src)
-	for {
-		select {
-		case msg := <-ch:
-			if msg.ctx != ctx {
-				pe.stashMsg(src, msg)
-				continue
-			}
-			pe.waitNs += time.Since(t0).Nanoseconds()
-			return msg
-		case <-pe.m.abort:
-			panic(abortedError{})
-		}
-	}
 }
 
 // getHandle pops a pooled handle (per-PE freelist, so steady-state
@@ -354,7 +245,7 @@ func (pe *PE) getHandle() *RecvHandle {
 // putHandle recycles a consumed handle, dropping the payload reference.
 func (pe *PE) putHandle(h *RecvHandle) {
 	h.state = hFree
-	h.msg = message{}
+	h.msg = mailbox.Msg{}
 	h.prev = nil
 	h.next = pe.freeH
 	pe.freeH = h
@@ -387,17 +278,12 @@ func (pe *PE) outUnlink(h *RecvHandle) {
 	h.prev, h.next = nil, nil
 }
 
-// resetAsync drops any outstanding handles, the current stepper, the
-// channel-matrix stash, and the context state — abort-path cleanup so a
-// machine is reusable after a failed run.
+// resetAsync drops any outstanding handles, the current stepper and the
+// context state — abort-path cleanup so a machine is reusable after a
+// failed run.
 func (pe *PE) resetAsync() {
 	pe.step = nil
 	pe.ctx = 0
-	for _, f := range pe.stash {
-		clear(f.q)
-		f.q = f.q[:0]
-		f.head = 0
-	}
 	for h := pe.outHead; h != nil; {
 		next := h.next
 		pe.putHandle(h)
@@ -492,7 +378,7 @@ func (s *seqStep) Step(pe *PE) *RecvHandle {
 // RunSteps drives a stepper to completion with blocking waits — the
 // bridge that lets one stepper implementation serve both worlds: inside
 // a blocking body (or on the channel matrix) RunSteps parks like any
-// blocking protocol; under RunAsync on the mailbox backend the scheduler
+// blocking protocol; under RunAsync on a Box machine the scheduler
 // drives the same Step calls without ever blocking a goroutine. A
 // MultiWaiter body blocks on any of its pending handles instead of the
 // one Step returned.
@@ -515,11 +401,8 @@ func RunSteps(pe *PE, st Stepper) {
 }
 
 // waitAnyBound blocks until at least one of the pending handles hs is
-// bound, without folding any meter. The mailbox backend waits on the
-// handles' (src, ctx) keys directly; the channel matrix multiplexes the
-// distinct source channels through reflect.Select, stashing messages of
-// uninvolved contexts exactly like takeBlocking. hs must belong to the
-// running PE body and be pending.
+// bound, without folding any meter: the intake waits on the handles'
+// (src, ctx) keys. hs must belong to the running PE body and be pending.
 func (pe *PE) waitAnyBound(hs []*RecvHandle) {
 	// Messages may already be queued (or have raced in since Step
 	// returned): a non-blocking sweep binds them without parking.
@@ -528,66 +411,29 @@ func (pe *PE) waitAnyBound(hs []*RecvHandle) {
 			return
 		}
 	}
-	if pe.box != nil {
-		keys := pe.keyBuf[:0]
-		for _, h := range hs {
-			keys = append(keys, mailbox.Key(h.src, h.ctx))
-		}
-		pe.keyBuf = keys
-		pe.sched.WillPark(pe.sidx)
-		t0 := time.Now()
-		mm, ok := pe.box.WaitAnyKeys(keys)
-		pe.waitNs += time.Since(t0).Nanoseconds()
-		if !ok {
-			panic(abortedError{})
-		}
-		pe.bindMsg(pe.oldestPendingFor(mm.Src, mm.Ctx), fromMsg(mm))
-		return
-	}
-	// Channel matrix: select over the distinct source channels plus the
-	// abort. Allocation per park is acceptable — the matrix is the
-	// small-p differential reference, never the serving engine.
+	pe.keyBuf = pe.streamKeys(hs)
+	pe.m.park(pe.sidx)
 	t0 := time.Now()
-	srcs := make([]int, 0, len(hs))
-	cases := make([]reflect.SelectCase, 1, len(hs)+1)
-	cases[0] = reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(pe.m.abort)}
+	msg, ok := pe.in.WaitAnyKeys(pe.keyBuf)
+	pe.waitNs += time.Since(t0).Nanoseconds()
+	if !ok {
+		panic(abortedError{})
+	}
+	pe.bindMsg(pe.oldestPendingFor(msg.Src, msg.Ctx), msg)
+}
+
+// streamKeys rebuilds the PE's key buffer from the (src, ctx) streams of hs.
+func (pe *PE) streamKeys(hs []*RecvHandle) []uint64 {
+	keys := pe.keyBuf[:0]
 	for _, h := range hs {
-		seen := false
-		for _, s := range srcs {
-			if s == h.src {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			srcs = append(srcs, h.src)
-			cases = append(cases, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(pe.recvChan(h.src))})
-		}
+		keys = append(keys, mailbox.Key(h.src, h.ctx))
 	}
-	for {
-		chosen, v, _ := reflect.Select(cases)
-		if chosen == 0 {
-			panic(abortedError{})
-		}
-		src := srcs[chosen-1]
-		msg := v.Interface().(message)
-		if g := pe.oldestPendingForOrNil(src, msg.ctx); g != nil {
-			pe.bindMsg(g, msg)
-			for _, h := range hs {
-				if h.state == hBound {
-					pe.waitNs += time.Since(t0).Nanoseconds()
-					return
-				}
-			}
-			continue
-		}
-		pe.stashMsg(src, msg)
-	}
+	return keys
 }
 
 // RunAsync executes a continuation-scheduled SPMD program: start is
 // called once per PE and returns the PE's body as a Stepper (nil for an
-// empty body). On the mailbox backend the sharded scheduler drives the
+// empty body). On Box machines the sharded scheduler drives the
 // steppers directly — a suspension returns the worker to the scheduler,
 // so the machine holds exactly w goroutines even while thousands of PE
 // bodies are waiting mid-collective. On the channel matrix the steppers
@@ -648,27 +494,24 @@ func (m *Machine) execAsyncRank(rank int) (done bool) {
 			return true
 		}
 		if h.state != hBound {
+			box := m.boxes[rank]
 			var armed bool
 			if mw, ok := pe.step.(MultiWaiter); ok {
 				// Multi-query bodies resume when ANY pending receive can
 				// bind, not just the one Step happened to return — arming
 				// on a single key would strand progress on the others.
 				pe.hBuf = mw.PendingHandles(pe.hBuf[:0])
-				keys := pe.keyBuf[:0]
-				for _, g := range pe.hBuf {
-					keys = append(keys, mailbox.Key(g.src, g.ctx))
-				}
-				pe.keyBuf = keys
-				armed = pe.box.ArmKeys(keys)
+				pe.keyBuf = pe.streamKeys(pe.hBuf)
+				armed = box.ArmKeys(pe.keyBuf)
 			} else {
-				armed = pe.box.ArmKey(mailbox.Key(h.src, h.ctx))
+				armed = box.ArmKey(mailbox.Key(h.src, h.ctx))
 			}
 			if armed {
 				// Suspended: the body exists only as data (pe.step plus the
 				// armed box) until the message arrives. No goroutine parks.
 				return false
 			}
-			if pe.box.Interrupted() {
+			if box.Interrupted() {
 				// Machine abort: the awaited message will never come and a
 				// Test-polling stepper would spin. Unwind like a blocking
 				// receive would (recovered above).

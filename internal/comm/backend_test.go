@@ -138,9 +138,9 @@ func TestMailboxTagMismatchDetected(t *testing.T) {
 	}
 }
 
-// TestMailboxStatsMatchChannelMatrix pins the O(1) folded aggregate
-// against the channel matrix's O(p) scan on a deterministic exchange,
-// including accumulation across Runs and ResetStats.
+// TestMailboxStatsMatchChannelMatrix pins the folded aggregate equal
+// under both drivers (scheduler and goroutine-per-PE) on a deterministic
+// exchange, including accumulation across Runs and ResetStats.
 func TestMailboxStatsMatchChannelMatrix(t *testing.T) {
 	body := func(pe *PE) {
 		const tag Tag = 2
@@ -237,7 +237,7 @@ func TestMailboxRunZeroAllocSteadyState(t *testing.T) {
 
 // TestQueueBytesGrowth pins the tentpole memory claim: the mailbox
 // backend's up-front queue memory is O(p) while the channel matrix is
-// O(p²·ChanCap).
+// O(p²).
 func TestQueueBytesGrowth(t *testing.T) {
 	growth := func(cfg func(int) Config) float64 {
 		return float64(QueueBytes(cfg(4096))) / float64(QueueBytes(cfg(256)))

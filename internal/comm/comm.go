@@ -28,23 +28,29 @@
 //
 // # Backends
 //
-// Two interchangeable message runtimes implement the same Send/Recv
-// semantics (per-sender FIFO delivery, abort propagation, identical
-// metering — pinned by the differential tests in internal/experiments):
+// Every PE runs one core — metering, the tag discipline, IRecv handles,
+// steppers — over two narrow seams: a per-destination sink that Send,
+// Post and Deliver hand a mailbox.Msg to, and the PE's own intake, which
+// receives take from by (source, context) key, plus the Interrupt/Reset
+// pair the abort path uses. Two intakes implement them:
 //
-//   - BackendMailbox (default): one MPSC mailbox per receiver
-//     (internal/mailbox) — O(p) queue memory — plus the sharded worker
-//     scheduler: w = min(GOMAXPROCS·8, p) shards multiplex the p PE
-//     bodies, a blocked Recv hands its shard's driver role to an idle
-//     spare, and the machine's resident goroutine count is O(w), not
-//     O(p). Aggregate statistics fold incrementally, so Stats() is O(1)
-//     instead of an O(p) scan. This is the runtime that scales to
-//     p = 131072 (see the scaling suite in internal/experiments).
-//   - BackendChannelMatrix: the original engine — one buffered channel
-//     per ordered PE pair and p goroutines spawned per Run. Queue memory
-//     is O(p²·ChanCap), which caps it near p ≈ 512; it is retained as
-//     the differential reference the mailbox runtime is pinned against
-//     (comm.MatrixConfig, exercised at p ∈ {4, 16, 64}).
+//   - the mailbox.Box (BackendMailbox, the default, and BackendWire): one
+//     MPSC mailbox per receiver — O(p) queue memory. On BackendWire the
+//     sink of a non-local rank forwards to Config.Remote instead.
+//   - the channel matrix (BackendChannelMatrix, matrix.go): one buffered
+//     channel per ordered PE pair — O(p²) queue memory, which caps it
+//     near p ≈ 512. It is the independent reference the mailbox runtime
+//     is pinned against (MatrixConfig, differential tests in
+//     internal/experiments).
+//
+// The only other backend difference is the driver. Box machines run the
+// p bodies on the sharded scheduler (internal/mailbox): w =
+// min(GOMAXPROCS·8, p) shards, a blocked Recv hands its shard's driver
+// role to an idle spare, continuation bodies suspend as data, and the
+// resident goroutine count is O(w), which is what scales to p = 131072.
+// The matrix runs one goroutine per PE for the duration of a run. Both
+// drivers call the same per-rank wrapper, so panics, aborts and the O(1)
+// folded Stats behave identically.
 package comm
 
 import (
@@ -63,14 +69,15 @@ import (
 type Backend int
 
 const (
-	// BackendChannelMatrix is the original engine: a buffered channel per
-	// ordered PE pair, p goroutines spawned per Run, Stats by O(p) scan.
-	// Retained as the differential reference; the Config zero value keeps
-	// selecting it so explicitly constructed Configs are unambiguous.
+	// BackendChannelMatrix is the reference transport (matrix.go): a
+	// buffered channel per ordered PE pair and one goroutine per PE per
+	// Run. Retained as the differential reference; the Config zero value
+	// keeps selecting it so explicitly constructed Configs are
+	// unambiguous.
 	BackendChannelMatrix Backend = iota
 	// BackendMailbox is the scalable engine (and the DefaultConfig
-	// choice): per-receiver MPSC mailboxes, the sharded worker scheduler,
-	// and O(1) aggregate Stats.
+	// choice): per-receiver MPSC mailboxes and the sharded worker
+	// scheduler.
 	BackendMailbox
 	// BackendWire is the multi-process engine: this machine owns only the
 	// contiguous local rank window Config.Remote [Lo, Hi) of the full
@@ -112,10 +119,6 @@ type Config struct {
 	Alpha float64
 	// Beta is the modeled per-word transfer cost (same units as Alpha).
 	Beta float64
-	// ChanCap is the per-ordered-pair channel buffer capacity
-	// (BackendChannelMatrix only; mailbox intake is unbounded and
-	// flow-controlled by the SPMD protocol structure).
-	ChanCap int
 	// Seed seeds the per-PE deterministic RNG streams (see NewPERandSeed).
 	Seed int64
 	// Backend selects the message runtime. The zero value is the original
@@ -128,15 +131,6 @@ type Config struct {
 	// and metering are independent of w (pinned by the differential
 	// tests); w only trades host parallelism against resident memory.
 	Workers int
-	// GlobalReadyQueue (mailbox only) selects the scheduler's single
-	// global ready queue instead of the default per-shard ready queues —
-	// the contention A/B reference for the serving benchmark: under
-	// concurrent-query resume storms every notify callback of the
-	// machine funnels through the ready-queue mutex, and the per-shard
-	// split spreads that over w mutexes with work stealing. Results and
-	// metering are identical either way (only host-side contention
-	// changes); the serving suite measures both.
-	GlobalReadyQueue bool
 	// Remote windows a BackendWire machine to its process-local
 	// contiguous rank range (required for BackendWire, ignored
 	// otherwise). See BackendWire.
@@ -163,7 +157,7 @@ type Remote struct {
 // per-word bandwidth). Since PR 3 the default runtime is the mailbox
 // engine; use MatrixConfig for the channel-matrix reference.
 func DefaultConfig(p int) Config {
-	return Config{P: p, Alpha: 1000, Beta: 1, ChanCap: 64, Seed: 1, Backend: BackendMailbox}
+	return Config{P: p, Alpha: 1000, Beta: 1, Seed: 1, Backend: BackendMailbox}
 }
 
 // MailboxConfig is DefaultConfig with the mailbox backend made explicit.
@@ -176,7 +170,7 @@ func MailboxConfig(p int) Config {
 }
 
 // MatrixConfig is DefaultConfig on the channel-matrix engine — the
-// differential-reference configuration. Its O(p²·ChanCap) queue memory
+// differential-reference configuration. Its O(p²) queue memory
 // limits it to small p; everything at scale runs on DefaultConfig.
 func MatrixConfig(p int) Config {
 	cfg := DefaultConfig(p)
@@ -210,24 +204,22 @@ func localP(cfg Config) int {
 
 // QueueBytes estimates the message-queue memory NewMachine allocates up
 // front for cfg: the channel matrix pays p² buffered channels, the
-// mailbox backend p empty intake boxes. The scaling harness uses the
-// estimate as its memory-budget guard (refusing configurations that could
-// not complete) and tests pin the O(p) vs O(p²) growth.
+// mailbox backend p empty intake boxes and one sink slot per rank. The
+// scaling harness uses the estimate as its memory-budget guard (refusing
+// configurations that could not complete) and tests pin the O(p) vs
+// O(p²) growth.
 func QueueBytes(cfg Config) int64 {
 	p := int64(cfg.P)
 	switch cfg.Backend {
 	case BackendMailbox, BackendWire:
-		const boxBytes = int64(unsafe.Sizeof(mailbox.Box{})) + 16 // box + slice slot + pointer
-		return int64(localP(cfg)) * boxBytes
+		const boxBytes = int64(unsafe.Sizeof(mailbox.Box{})) + 8 // box + boxes slot
+		const sinkBytes = int64(unsafe.Sizeof(sink(nil)))
+		return int64(localP(cfg))*boxBytes + p*sinkBytes
 	default:
-		chanCap := int64(cfg.ChanCap)
-		if chanCap <= 0 {
-			chanCap = 64
-		}
-		// hchan header (~96 B) + ring buffer of message structs; the +1
-		// row is the per-destination external-injection channels.
+		// hchan header (~96 B) + ring buffer of messages; the +1 row is
+		// the per-destination external-injection channels.
 		const hchanBytes = 96
-		msgBytes := int64(unsafe.Sizeof(message{}))
+		msgBytes := int64(unsafe.Sizeof(mailbox.Msg{}))
 		return (p*p + p) * (hchanBytes + chanCap*msgBytes)
 	}
 }
@@ -252,26 +244,44 @@ func MachineBytes(cfg Config) int64 {
 	return b + p*stackBytes
 }
 
-type message struct {
-	tag    Tag
-	ctx    uint32 // communication context (0: default); matched with tag at receive
-	words  int64
-	depart float64 // sender's virtual clock after the send completed
-	data   any
+// sink is the send seam: the per-destination delivery point Send, Post
+// and Deliver hand messages to — the destination's mailbox.Box, its
+// channel-matrix column, or the Remote.Forward hook for a non-local rank
+// of a BackendWire machine.
+type sink interface {
+	Put(msg mailbox.Msg)
 }
+
+// intake is the receive seam: a PE's own incoming queue, demultiplexed
+// by (source, context) key (mailbox.Key). Implemented by *mailbox.Box and
+// the channel matrix's column. Only the PE's body takes from it;
+// Interrupt (idempotent, any goroutine) makes blocked and later takes
+// report ok = false until Reset, which also discards every queued
+// message.
+type intake interface {
+	TryTakeKey(key uint64) (mailbox.Msg, bool)
+	TakeKey(key uint64) (mailbox.Msg, bool)
+	WaitAnyKeys(keys []uint64) (mailbox.Msg, bool)
+	Interrupt()
+	Reset()
+}
+
+// remoteSink adapts Remote.Forward to the sink of one non-local rank.
+type remoteSink struct {
+	dst     int
+	forward func(dst int, msg mailbox.Msg)
+}
+
+func (r remoteSink) Put(msg mailbox.Msg) { r.forward(r.dst, msg) }
 
 // Machine is a simulated cluster of PEs. Create one with NewMachine, run
 // SPMD programs with Run, and read aggregate statistics with Stats.
 type Machine struct {
-	cfg   Config
-	chans [][]chan message // channel-matrix backend: chans[src][dst]
-	boxes []*mailbox.Box   // mailbox backend: boxes[dst]
-	// ext carries externally injected messages (Machine.Post — the
-	// serving front end's doorbells) on the channel matrix, one channel
-	// per destination; the mailbox backend injects straight into the
-	// destination box under the ExternalSrc rank.
-	ext []chan message
+	cfg Config
 	pes []*PE
+	// sinks[dst] is the delivery point for global rank dst (see sink),
+	// shared by every PE's Send and by Post/Deliver.
+	sinks []sink
 	// lo is the first local rank (0 except on BackendWire, where the
 	// machine owns only the Remote window and pes/boxes are indexed by
 	// rank−lo).
@@ -285,37 +295,41 @@ type Machine struct {
 	ctxFree []Ctx
 	ctxNext uint32
 
-	// Mailbox-backend run machinery: the sharded scheduler (w shards
-	// multiplexing the p PE bodies; goroutines spawn lazily and at most w
-	// stay resident, torn down by Close or the finalizer), the per-rank
-	// exec wrappers (one closure each per machine, so steady-state Run
-	// and RunAsync dispatch allocate nothing), and the bodies they
-	// dispatch (runBody for blocking Run, asyncStart for RunAsync).
+	// The driver. On Box machines, sched is the sharded scheduler (w
+	// shards multiplexing the p PE bodies; goroutines spawn lazily and at
+	// most w stay resident, torn down by Close or the finalizer), boxes
+	// are the local intakes it arms for suspended continuation bodies,
+	// and park is its WillPark hand-off. The matrix has no scheduler
+	// (sched nil, park a no-op) and runs each rank on its own goroutine.
+	// exec/execAsync are the per-rank run wrappers (one closure each per
+	// machine, so steady-state Run and RunAsync dispatch allocate
+	// nothing), and runBody/asyncStart the bodies they dispatch.
 	sched      *mailbox.Sched
+	boxes      []*mailbox.Box
+	park       func(sidx int)
 	exec       func(rank int) bool
 	execAsync  func(rank int) bool
 	runBody    func(pe *PE)
 	asyncStart func(pe *PE) Stepper
 	closeOnce  sync.Once
 
-	// Mailbox-backend aggregate statistics, folded in by each worker when
-	// its body completes (O(1) Stats instead of an O(p) scan).
+	// Aggregate statistics, folded in by the run wrapper when each body
+	// completes (O(1) Stats instead of an O(p) scan).
 	aggMu sync.Mutex
 	agg   Stats
 
-	abortOnce sync.Once
-	abort     chan struct{}
-	errMu     sync.Mutex
-	err       error
+	// err is the current run's first failure. Setting it interrupts every
+	// local intake under errMu, so "err set" and "intakes interrupted"
+	// change together: finishRun consumes both, and an abort arriving
+	// from a foreign goroutine (AbortExternal) lands wholly in one run.
+	errMu sync.Mutex
+	err   error
 }
 
 // NewMachine creates a machine with cfg.P PEs. It panics if cfg.P < 1.
 func NewMachine(cfg Config) *Machine {
 	if cfg.P < 1 {
 		panic(fmt.Sprintf("comm: invalid PE count %d", cfg.P))
-	}
-	if cfg.ChanCap <= 0 {
-		cfg.ChanCap = 64
 	}
 	lo := 0
 	if cfg.Backend == BackendWire {
@@ -326,64 +340,40 @@ func NewMachine(cfg Config) *Machine {
 		lo = r.Lo
 	}
 	nLocal := localP(cfg)
-	m := &Machine{
-		cfg:   cfg,
-		lo:    lo,
-		pes:   make([]*PE, nLocal),
-		abort: make(chan struct{}),
-	}
-	var sendBoxes []*mailbox.Box
-	if cfg.Backend != BackendChannelMatrix {
-		m.boxes = make([]*mailbox.Box, nLocal)
-		for i := range m.boxes {
-			m.boxes[i] = mailbox.New()
+	m := &Machine{cfg: cfg, lo: lo, pes: make([]*PE, nLocal), sinks: make([]sink, cfg.P)}
+	ins := make([]intake, nLocal)
+	if cfg.Backend == BackendChannelMatrix {
+		for i, c := range newChanMatrix(cfg.P) {
+			ins[i], m.sinks[i] = c, c
 		}
-		m.sched = mailbox.NewSchedReady(nLocal, SchedWorkers(cfg), !cfg.GlobalReadyQueue)
-		// Send indexes sendBoxes by global destination rank; on the wire
-		// backend the non-local entries stay nil and Send falls through to
-		// the Remote.Forward transport hook.
-		if lo == 0 && nLocal == cfg.P {
-			sendBoxes = m.boxes
-		} else {
-			sendBoxes = make([]*mailbox.Box, cfg.P)
-			copy(sendBoxes[lo:], m.boxes)
-		}
+		m.park = func(int) {}
 	} else {
-		m.chans = make([][]chan message, cfg.P)
-		for i := 0; i < cfg.P; i++ {
-			m.chans[i] = make([]chan message, cfg.P)
-			for j := 0; j < cfg.P; j++ {
-				m.chans[i][j] = make(chan message, cfg.ChanCap)
-			}
-		}
-		m.ext = make([]chan message, cfg.P)
-		for i := range m.ext {
-			m.ext[i] = make(chan message, cfg.ChanCap)
-		}
-	}
-	for i := 0; i < nLocal; i++ {
-		pe := &PE{m: m, rank: lo + i, sidx: i, p: cfg.P, alpha: cfg.Alpha, beta: cfg.Beta}
-		if m.boxes != nil {
-			pe.box = m.boxes[i]
-			pe.sendBoxes = sendBoxes
-			pe.sched = m.sched
-		}
-		m.pes[i] = pe
-	}
-	if m.sched != nil {
-		m.exec = m.execRank
-		m.execAsync = m.execAsyncRank
+		m.sched = mailbox.NewSched(nLocal, SchedWorkers(cfg))
+		m.park = m.sched.WillPark
 		// Suspended continuation bodies (RunAsync) are resumed through the
 		// box notify → scheduler ready-queue path; all boxes share the one
 		// Ready method value and differ only in rank.
 		ready := m.sched.Ready
-		for i, b := range m.boxes {
+		m.boxes = make([]*mailbox.Box, nLocal)
+		for i := range m.boxes {
+			b := mailbox.New()
 			b.SetNotify(i, ready)
+			m.boxes[i], ins[i], m.sinks[lo+i] = b, b, b
 		}
+		for dst, s := range m.sinks {
+			if s == nil {
+				m.sinks[dst] = remoteSink{dst, cfg.Remote.Forward}
+			}
+		}
+		m.execAsync = m.execAsyncRank
 		// An idle scheduler goroutine references only the scheduler, never
 		// the machine, so the finalizer fires once callers drop the machine
 		// and releases the spare pool.
 		runtime.SetFinalizer(m, (*Machine).shutdown)
+	}
+	m.exec = m.execRank
+	for i := range m.pes {
+		m.pes[i] = &PE{m: m, rank: lo + i, sidx: i, p: cfg.P, alpha: cfg.Alpha, beta: cfg.Beta, in: ins[i], sinks: m.sinks}
 	}
 	return m
 }
@@ -421,23 +411,23 @@ func (m *Machine) Workers() int {
 	return m.sched.Workers()
 }
 
-// abortErr records the first error and releases all blocked PEs.
+// abortErr records the run's first error and releases every blocked or
+// suspended local PE by interrupting its intake.
 func (m *Machine) abortErr(err error) {
 	m.errMu.Lock()
-	if m.err == nil {
-		m.err = err
+	defer m.errMu.Unlock()
+	if m.err != nil {
+		return // already aborted: every intake is interrupted
 	}
-	m.errMu.Unlock()
-	m.abortOnce.Do(func() {
-		close(m.abort)
-		for _, b := range m.boxes {
-			b.Interrupt()
-		}
-	})
+	m.err = err
+	for _, pe := range m.pes {
+		pe.in.Interrupt()
+	}
 }
 
-// ErrAborted is the panic value delivered to PEs blocked in Send/Recv when
-// another PE has failed; it unwinds the SPMD program cleanly.
+// abortedError is the panic value a receive raises once its intake is
+// interrupted (another PE failed, or AbortExternal); it unwinds the SPMD
+// body cleanly and is never recorded as the run's error.
 type abortedError struct{}
 
 func (abortedError) Error() string { return "comm: aborted because another PE failed" }
@@ -448,79 +438,46 @@ func (abortedError) Error() string { return "comm: aborted because another PE fa
 // machine; communication state must be drained (which it is whenever a
 // run completes without error, since tags are checked).
 //
-// On the channel matrix, each Run spawns p goroutines. On the mailbox
-// backend the sharded scheduler multiplexes the p bodies over w shards:
+// On the channel matrix, each Run spawns p goroutines. On Box machines
+// the sharded scheduler multiplexes the p bodies over w shards:
 // a Run whose bodies never block dispatches entirely on the resident
 // goroutines and allocates nothing in steady state (pinned by a test);
 // bodies that block in Recv park on their mailbox and transiently occupy
 // a goroutine each until the run completes.
 func (m *Machine) Run(body func(pe *PE)) error {
+	m.runBody = body
 	if m.sched != nil {
-		m.runBody = body
 		m.sched.Run(m.exec)
-		m.runBody = nil
 	} else {
-		var wg sync.WaitGroup
-		wg.Add(m.cfg.P)
-		for i := 0; i < m.cfg.P; i++ {
-			pe := m.pes[i]
-			go func() {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						pe.resetAsync()
-						if _, ok := r.(abortedError); ok {
-							return // secondary failure; first cause already recorded
-						}
-						m.abortErr(fmt.Errorf("comm: PE %d panicked: %v\n%s", pe.rank, r, debug.Stack()))
-					}
-				}()
-				body(pe)
-			}()
-		}
-		wg.Wait()
+		runEach(len(m.pes), m.exec)
 	}
+	m.runBody = nil
 	return m.finishRun()
 }
 
 // finishRun collects a run's first error and, on failure, restores the
-// machine to a clean reusable state (shared by Run and RunAsync).
+// machine to a clean reusable state (shared by Run and RunAsync): the
+// intakes may hold stale messages after an abort, and unwound PE bodies
+// may have left posted receive handles behind. errMu is held throughout,
+// so a concurrent AbortExternal either fails this run or the next one,
+// never half of each.
 func (m *Machine) finishRun() error {
 	m.errMu.Lock()
+	defer m.errMu.Unlock()
 	err := m.err
-	m.err = nil
-	m.errMu.Unlock()
 	if err != nil {
-		// The machine's queues may hold stale messages after an abort, and
-		// unwound PE bodies may have left posted receive handles behind;
-		// drain both so a subsequent Run starts clean.
-		for _, b := range m.boxes {
-			b.Reset()
-		}
-		for i := range m.chans {
-			for j := range m.chans[i] {
-				for len(m.chans[i][j]) > 0 {
-					<-m.chans[i][j]
-				}
-			}
-		}
-		for _, ch := range m.ext {
-			for len(ch) > 0 {
-				<-ch
-			}
-		}
+		m.err = nil
 		for _, pe := range m.pes {
+			pe.in.Reset()
 			pe.resetAsync()
 		}
-		m.abort = make(chan struct{})
-		m.abortOnce = sync.Once{}
 	}
 	return err
 }
 
-// execRank is the mailbox backend's per-rank run wrapper for blocking
-// bodies: dispatch the body, convert panics into machine aborts, and
-// fold this PE's counter deltas into the aggregate. Created once per
+// execRank is the per-rank run wrapper for blocking bodies, shared by
+// both drivers: dispatch the body, convert panics into machine aborts,
+// and fold this PE's counter deltas into the aggregate. Created once per
 // machine so Run stays allocation-free. Blocking bodies always complete
 // within one exec call (they park goroutines instead of suspending), so
 // it always reports done.
@@ -540,10 +497,10 @@ func (m *Machine) execRank(rank int) (done bool) {
 	return true
 }
 
-// foldStats folds pe's monotone counters into the machine aggregate —
-// the mailbox backend's incremental statistics. Deltas (for the totals)
-// use per-PE shadows of the last folded values; the maxima need none
-// because per-PE counters only grow between ResetStats calls.
+// foldStats folds pe's monotone counters into the machine aggregate.
+// Deltas (for the totals) use per-PE shadows of the last folded values;
+// the maxima need none because per-PE counters only grow between
+// ResetStats calls.
 func (m *Machine) foldStats(pe *PE) {
 	m.aggMu.Lock()
 	m.agg.TotalWords += pe.sentWords - pe.foldedSentWords
@@ -611,25 +568,11 @@ func (m *Machine) ExternalSrc() int { return m.cfg.P }
 // context set to ctx). It carries no sender-side meter (no PE paid a
 // send); the receiver's Wait folds the usual α + βm receive cost with a
 // zero depart stamp, so consuming a doorbell costs one startup of
-// modeled time. Safe from any goroutine; never blocks on the mailbox
-// backend (channel-matrix injection queues block when full, watching
-// the abort).
+// modeled time. Safe from any goroutine; never blocks on Box machines
+// (the channel matrix's injection channel blocks while full, until the
+// machine aborts).
 func (m *Machine) Post(dst int, ctx Ctx, tag Tag, data any, words int64) {
-	if m.boxes != nil {
-		msg := mailbox.Msg{
-			Src: m.cfg.P, Ctx: uint32(ctx), Tag: uint64(tag), Words: words, Data: data,
-		}
-		if dst < m.lo || dst >= m.lo+len(m.pes) {
-			m.cfg.Remote.Forward(dst, msg)
-			return
-		}
-		m.boxes[dst-m.lo].Put(msg)
-		return
-	}
-	select {
-	case m.ext[dst] <- message{tag: tag, ctx: uint32(ctx), words: words, data: data}:
-	case <-m.abort:
-	}
+	m.sinks[dst].Put(mailbox.Msg{Src: m.cfg.P, Ctx: uint32(ctx), Tag: uint64(tag), Words: words, Data: data})
 }
 
 // Deliver injects a transport-delivered message for local rank dst — the
@@ -639,16 +582,17 @@ func (m *Machine) Post(dst int, ctx Ctx, tag Tag, data any, words int64) {
 // message carries the sender's depart stamp across the process boundary).
 // dst must be a local rank. Safe from any goroutine.
 func (m *Machine) Deliver(dst int, msg mailbox.Msg) {
-	if m.boxes == nil || dst < m.lo || dst >= m.lo+len(m.pes) {
+	if dst < m.lo || dst >= m.lo+len(m.pes) {
 		panic(fmt.Sprintf("comm: Deliver to non-local rank %d (local window [%d, %d))", dst, m.lo, m.lo+len(m.pes)))
 	}
-	m.boxes[dst-m.lo].Put(msg)
+	m.sinks[dst].Put(msg)
 }
 
 // AbortExternal records err as the machine's failure and releases every
 // blocked or suspended local PE, exactly as a local PE panic would — the
 // wire transport's hook for propagating a remote process's death into a
-// run in progress. The current (or next) Run returns err; finishRun then
+// run in progress. Safe from any goroutine, during or between runs: the
+// current (or, if it has already finished, the next) Run returns err and
 // restores the machine to a clean state.
 func (m *Machine) AbortExternal(err error) { m.abortErr(err) }
 
@@ -701,28 +645,12 @@ func (s Stats) BottleneckWords() int64 {
 	return max(s.MaxSentWords, s.MaxRecvWords)
 }
 
-// Stats returns aggregate counters. Only meaningful between Runs. On the
-// mailbox backend this reads the incrementally folded aggregate in O(1);
-// the channel matrix scans its p PEs.
+// Stats returns aggregate counters: the incrementally folded aggregate,
+// in O(1). Only meaningful between Runs.
 func (m *Machine) Stats() Stats {
-	if m.sched != nil {
-		m.aggMu.Lock()
-		s := m.agg
-		m.aggMu.Unlock()
-		return s
-	}
-	var s Stats
-	for _, pe := range m.pes {
-		s.TotalWords += pe.sentWords
-		s.TotalSends += pe.sends
-		s.MaxSentWords = max(s.MaxSentWords, pe.sentWords)
-		s.MaxRecvWords = max(s.MaxRecvWords, pe.recvWords)
-		s.MaxSends = max(s.MaxSends, pe.sends)
-		if pe.clock > s.MaxClock {
-			s.MaxClock = pe.clock
-		}
-	}
-	return s
+	m.aggMu.Lock()
+	defer m.aggMu.Unlock()
+	return m.agg
 }
 
 // PE is one processing element's handle, valid only inside the goroutine
@@ -742,14 +670,11 @@ type PE struct {
 	alpha float64
 	beta  float64
 
-	// Mailbox backend: box is this PE's own intake, sendBoxes the
-	// machine-wide slice indexed by destination, sched the sharded
-	// scheduler a blocking Recv must notify (driver hand-off). All nil on
-	// the channel matrix (the Send/Recv dispatch tests box/sendBoxes, not
-	// config).
-	box       *mailbox.Box
-	sendBoxes []*mailbox.Box
-	sched     *mailbox.Sched
+	// in is this PE's own intake; sinks the machine-wide delivery points
+	// indexed by destination (Machine.sinks, copied here for the Send hot
+	// path).
+	in    intake
+	sinks []sink
 
 	clock     float64
 	sentWords int64
@@ -759,7 +684,7 @@ type PE struct {
 	waitNs    int64
 
 	// foldedSentWords/foldedSends shadow the last values folded into the
-	// machine aggregate (mailbox backend incremental stats).
+	// machine aggregate (incremental stats).
 	foldedSentWords int64
 	foldedSends     int64
 
@@ -773,12 +698,6 @@ type PE struct {
 	ctx        uint32
 	collSeq    uint64
 	collSeqCtx map[uint32]uint64
-
-	// Channel-matrix per-PE stash: messages taken off a source channel
-	// while looking for a different context, parked per (src, ctx) key
-	// until their own receive comes looking. The mailbox backend demuxes
-	// inside the Box instead.
-	stash map[uint64]*msgFifo
 
 	// keyBuf/hBuf are reusable buffers for multi-handle suspension
 	// (MultiWaiter bodies): the pending handles of the current body and
@@ -811,13 +730,6 @@ type PE struct {
 type scratchKey struct {
 	ctx uint32
 	key string
-}
-
-// msgFifo is one (src, ctx) key's stashed-message queue on the channel
-// matrix (see PE.stash).
-type msgFifo struct {
-	q    []message
-	head int
 }
 
 // Scratch returns the value stored under key in this PE's scratch store
@@ -859,8 +771,8 @@ func ScratchSlice[T any](pe *PE, key string, n int) []T {
 	return b
 }
 
-// WaitTime returns how long this PE has been blocked waiting for messages
-// (or for channel space). Harness code subtracts it from a phase's wall
+// WaitTime returns how long this PE has been blocked waiting for
+// messages. Harness code subtracts it from a phase's wall
 // time to estimate pure local work.
 func (pe *PE) WaitTime() time.Duration { return time.Duration(pe.waitNs) }
 
@@ -925,7 +837,10 @@ func (pe *PE) NextCollTag() Tag {
 // Send transmits data (words machine words) to PE dst with the given tag.
 // The payload is passed by reference; the sender must not mutate it after
 // sending (collectives in package coll copy where required). Send never
-// blocks indefinitely: if the machine aborts, Send unwinds via panic.
+// blocks on Box machines; on the channel matrix it blocks while the
+// destination's channel from this PE is full, and if the machine aborts
+// meanwhile it drops the message and returns (the body unwinds at its
+// next receive).
 func (pe *PE) Send(dst int, tag Tag, data any, words int64) {
 	if dst < 0 || dst >= pe.p {
 		panic(fmt.Sprintf("comm: PE %d: send to invalid rank %d", pe.rank, dst))
@@ -936,36 +851,9 @@ func (pe *PE) Send(dst int, tag Tag, data any, words int64) {
 	pe.clock += pe.alpha + pe.beta*float64(words)
 	pe.sentWords += words
 	pe.sends++
-	if pe.sendBoxes != nil {
-		// Mailbox backend: intake is unbounded, so sends never block and
-		// need no abort watch. A nil box entry (wire backend, non-local
-		// destination) routes through the transport hook instead; the
-		// frame carries the depart stamp so the receiver's meter folds
-		// identically to a local delivery.
-		msg := mailbox.Msg{
-			Src: pe.rank, Ctx: pe.ctx, Tag: uint64(tag), Words: words, Depart: pe.clock, Data: data,
-		}
-		if b := pe.sendBoxes[dst]; b != nil {
-			b.Put(msg)
-		} else {
-			pe.m.cfg.Remote.Forward(dst, msg)
-		}
-		return
-	}
-	msg := message{tag: tag, ctx: pe.ctx, words: words, depart: pe.clock, data: data}
-	// Fast path: the buffered channel has space, so no abort watch and no
-	// wait-time clock reads are needed.
-	select {
-	case pe.m.chans[pe.rank][dst] <- msg:
-	default:
-		t0 := time.Now()
-		select {
-		case pe.m.chans[pe.rank][dst] <- msg:
-		case <-pe.m.abort:
-			panic(abortedError{})
-		}
-		pe.waitNs += time.Since(t0).Nanoseconds()
-	}
+	// The message carries the depart stamp, so the receiver's meter folds
+	// identically whether the sink is a local intake or a transport hook.
+	pe.sinks[dst].Put(mailbox.Msg{Src: pe.rank, Ctx: pe.ctx, Tag: uint64(tag), Words: words, Depart: pe.clock, Data: data})
 }
 
 // Recv receives the next message from PE src, which must carry the given
@@ -984,9 +872,9 @@ func (pe *PE) Recv(src int, tag Tag) (any, int64) {
 // SendRecv sends to dst and receives from src in one full-duplex step
 // (the common exchange pattern of recursive doubling), posting the
 // receive before the send so the two transfers overlap — the handle-API
-// form of the exchange. Sends never block on the mailbox backend, and
-// the buffered channels of the matrix make the exchange deadlock-free
-// for any pairing as long as ChanCap ≥ 1.
+// form of the exchange. Sends never block on Box machines, and the
+// buffered channels of the matrix make the exchange deadlock-free for
+// any pairing.
 func (pe *PE) SendRecv(dst int, sendData any, sendWords int64, src int, tag Tag) (any, int64) {
 	h := pe.IRecv(src, tag)
 	pe.Send(dst, tag, sendData, sendWords)

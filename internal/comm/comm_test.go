@@ -26,7 +26,7 @@ func TestMachineBasicSendRecv(t *testing.T) {
 }
 
 func TestMachineCounters(t *testing.T) {
-	m := NewMachine(Config{P: 2, Alpha: 10, Beta: 2, ChanCap: 4, Seed: 1})
+	m := NewMachine(Config{P: 2, Alpha: 10, Beta: 2, Seed: 1})
 	defer m.Close()
 	m.MustRun(func(pe *PE) {
 		const tag Tag = 1
@@ -54,7 +54,7 @@ func TestMachineCounters(t *testing.T) {
 
 func TestVirtualClockCriticalPath(t *testing.T) {
 	// A 3-hop relay: clock should accumulate along the chain, not in parallel.
-	m := NewMachine(Config{P: 4, Alpha: 1, Beta: 0, ChanCap: 4})
+	m := NewMachine(Config{P: 4, Alpha: 1, Beta: 0})
 	defer m.Close()
 	m.MustRun(func(pe *PE) {
 		const tag Tag = 2

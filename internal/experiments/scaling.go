@@ -17,7 +17,7 @@ import (
 // The scaling suite: the O(log p) collective set, the chunked gather
 // collectives, and Table-1 unsorted selection at p = 256…131072 — PE
 // counts where the paper's O(α log p) startup bounds become visible, and
-// where the channel-matrix backend's O(p²·ChanCap) queue memory exceeds
+// where the channel-matrix backend's O(p²) queue memory exceeds
 // any sane harness budget (p = 4096 alone would need ~50 GiB of channel
 // buffers). Each configuration is guarded by comm.MachineBytes (queues +
 // PE handles + scheduler state) against ScalingMemBudgetBytes:

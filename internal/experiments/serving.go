@@ -25,10 +25,6 @@ import (
 //     across admission handoffs). How much that buys depends on the
 //     host: the effect is parallelism, so few-core CI boxes see modest
 //     or negative deltas while the context-switch overhead still shows.
-//   - sharded vs global scheduler ready queue: the mailbox scheduler's
-//     per-shard ready queues vs the single global queue, under the same
-//     serving workload (contended resumes from many tenants) — the
-//     regime where per-shard stealing either pays or costs.
 //
 // The offered rate is calibrated on the host: a closed-loop sequential
 // warmup measures the mean service time, and the open-loop schedule
@@ -188,14 +184,12 @@ func measureServingOpen(cfg comm.Config, scfg serve.Config, shards [][]uint64, s
 type servingConfig struct {
 	name        string
 	maxInflight int
-	globalReady bool
 }
 
 func servingConfigs() []servingConfig {
 	return []servingConfig{
-		{"sequential", 1, false},
-		{"interleaved8", 8, false},
-		{"interleaved8/globalready", 8, true},
+		{"sequential", 1},
+		{"interleaved8", 8},
 	}
 }
 
@@ -209,8 +203,8 @@ func runServingAxis(quick bool, progress func(string)) []servingMetrics {
 	}
 	shards, sorted := servingShards(5)
 	n := int64(len(sorted))
-	// Calibrate on the sequential sharded-queue server, then offer 1.4×
-	// its service rate to every variant.
+	// Calibrate on the sequential server, then offer 1.4× its service
+	// rate to every variant.
 	base := comm.MailboxConfig(servingP)
 	svcNs := measureServingClosed(base, serve.Config{MaxInflight: 1, Seed: 77}, shards, sorted,
 		servingQueryRanks(n, calib, 99))
@@ -221,9 +215,7 @@ func runServingAxis(quick bool, progress func(string)) []servingMetrics {
 	ks := servingQueryRanks(n, queries, 101)
 	var out []servingMetrics
 	for _, sc := range servingConfigs() {
-		cfg := comm.MailboxConfig(servingP)
-		cfg.GlobalReadyQueue = sc.globalReady
-		met := measureServingOpen(cfg, serve.Config{
+		met := measureServingOpen(comm.MailboxConfig(servingP), serve.Config{
 			MaxInflight: sc.maxInflight,
 			QueueDepth:  64,
 			BatchMax:    4,
@@ -267,7 +259,7 @@ func ServingTable(quick bool) Table {
 	t := Table{
 		Title: fmt.Sprintf("Serving: open-loop QPS / tail latency (p=%d, n/p=2^13, offered ≈ 1.4× sequential capacity)", servingP),
 		Notes: "multi-tenant front end over tagged communication contexts (internal/serve)\n" +
-			"sequential = MaxInflight 1; interleaved8 = 8 queries share the machine; globalready = single scheduler ready queue\n" +
+			"sequential = MaxInflight 1; interleaved8 = 8 queries share the machine\n" +
 			"latency is scheduled-arrival → result (open loop: queueing included); dropped = admission-queue sheds",
 		Header: []string{"variant", "offered qps", "achieved qps", "mean ms", "p50 ms", "p95 ms", "p99 ms", "done", "dropped"},
 	}

@@ -4,8 +4,8 @@
 // scheduler (Sched) that multiplexes the p PE bodies over w ≪ p shards,
 // so a resident machine holds O(w) goroutines rather than one per PE.
 //
-// The original engine allocates a buffered channel per ordered PE pair —
-// O(p²·ChanCap) queue memory — which caps simulated scale far below the
+// The channel-matrix reference transport allocates a buffered channel per
+// ordered PE pair — O(p²) queue memory — which caps simulated scale far below the
 // paper's algorithmic limits (p = 1024 already needs ~67M message slots).
 // A Box replaces a receiver's whole channel column with one intake list,
 // so a p-PE machine needs exactly p boxes: O(p) queue memory up front,
@@ -44,8 +44,10 @@ package mailbox
 
 import "sync"
 
-// Msg is one in-flight message. The fields mirror the metered message of
-// internal/comm; Data is the payload reference handed to the receiver.
+// Msg is one in-flight message, and the only message type of the
+// substrate: internal/comm meters it and every transport (Box, channel
+// matrix, wire frames) carries it. Depart is the sender's virtual clock
+// after the send; Data is the payload reference handed to the receiver.
 type Msg struct {
 	Src    int
 	Ctx    uint32

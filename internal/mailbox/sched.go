@@ -29,8 +29,8 @@ import (
 //     mailbox and returned the worker to the scheduler, which simply
 //     keeps driving — no goroutine parks at all. When the armed message
 //     arrives, the box's notify callback calls Ready(rank) and the rank
-//     is re-run (exec again, same bool protocol) from the global ready
-//     queue. This is the path that keeps mid-run goroutine residency at
+//     is re-run (exec again, same bool protocol) from the ready queues.
+//     This is the path that keeps mid-run goroutine residency at
 //     exactly w for continuation-scheduled workloads.
 //   - A body that instead blocks inside exec (a legacy blocking Recv)
 //     first calls WillPark. If the goroutine currently holds its shard's
@@ -86,22 +86,16 @@ type Sched struct {
 	// ownRun[i] is only touched by worker i.
 	run    atomic.Uint32
 	ownRun []uint32
-	// The ready queue of resumed continuation ranks: intrusive FIFOs
-	// threaded through readyNext, drained by whichever driver or idle
-	// worker sees it first. readyCh (buffered, cap w) carries coalesced
-	// wake-ups for workers parked between assignments. In the default
-	// sharded mode each shard owns a ready list (head/tail/mutex in the
-	// shard, shardOf maps rank → shard) so concurrent-query resume
-	// storms from many producer threads spread over w mutexes instead
-	// of serializing on one; readyCount stays global, so the duty
-	// invariant — count > 0 means a token is pending or a goroutine is
-	// on draining duty — is unchanged from the global-queue mode, which
-	// remains selectable (NewSchedReady) as the A/B reference.
-	sharded    bool
+	// The ready queues of resumed continuation ranks: one intrusive FIFO
+	// per shard (head/tail/mutex in the shard, shardOf maps rank →
+	// shard), threaded through readyNext, so concurrent-query resume
+	// storms from many producer threads spread over w mutexes instead of
+	// serializing on one. They are drained by whichever driver or idle
+	// worker sees them first. readyCh (buffered, cap w) carries coalesced
+	// wake-ups for workers parked between assignments. readyCount is
+	// global: count > 0 means a token is pending or a goroutine is on
+	// draining duty.
 	shardOf    []int32
-	readyMu    sync.Mutex
-	readyHead  int32
-	readyTail  int32
 	readyNext  []int32
 	readyCount atomic.Int32
 	readyCh    chan struct{}
@@ -137,10 +131,10 @@ type shard struct {
 	mu     sync.Mutex
 	spill  []span
 	spillN atomic.Int32
-	// The shard's ready list (sharded mode): resumed ranks in [lo, hi),
-	// threaded through the scheduler's shared readyNext array. Guarded
-	// by rMu, separate from mu so resume storms never contend with
-	// spill traffic.
+	// The shard's ready list: resumed ranks in [lo, hi), threaded
+	// through the scheduler's shared readyNext array. Guarded by rMu,
+	// separate from mu so resume storms never contend with spill
+	// traffic.
 	rMu          sync.Mutex
 	rHead, rTail int32
 }
@@ -172,13 +166,7 @@ func (sh *shard) popSpill() (span, bool) {
 // NewSched creates a scheduler for p ranks over w shards (clamped to
 // 1 ≤ w ≤ p) with per-shard ready queues. No goroutines are started
 // until the first Run.
-func NewSched(p, w int) *Sched { return NewSchedReady(p, w, true) }
-
-// NewSchedReady is NewSched with the ready-queue layout explicit:
-// sharded selects per-shard ready lists (the default), false the single
-// global list — kept as the contention A/B reference for the serving
-// benchmark.
-func NewSchedReady(p, w int, sharded bool) *Sched {
+func NewSched(p, w int) *Sched {
 	if w < 1 {
 		w = 1
 	}
@@ -189,10 +177,8 @@ func NewSchedReady(p, w int, sharded bool) *Sched {
 		shards:    make([]shard, w),
 		driverOf:  make([]int32, p),
 		remHi:     make([]int32, p),
-		sharded:   sharded,
+		shardOf:   make([]int32, p),
 		readyNext: make([]int32, p),
-		readyHead: -1,
-		readyTail: -1,
 		kick:      make([]chan struct{}, w),
 		work:      make(chan int32),
 		ownRun:    make([]uint32, w),
@@ -205,17 +191,12 @@ func NewSchedReady(p, w int, sharded bool) *Sched {
 		sc.shards[i].rHead = -1
 		sc.shards[i].rTail = -1
 		sc.kick[i] = make(chan struct{}, 1)
+		for r := sc.shards[i].lo; r < sc.shards[i].hi; r++ {
+			sc.shardOf[r] = int32(i)
+		}
 	}
 	for i := range sc.driverOf {
 		sc.driverOf[i] = -1
-	}
-	if sharded {
-		sc.shardOf = make([]int32, p)
-		for i := range sc.shards {
-			for r := sc.shards[i].lo; r < sc.shards[i].hi; r++ {
-				sc.shardOf[r] = int32(i)
-			}
-		}
 	}
 	return sc
 }
@@ -261,30 +242,17 @@ func (sc *Sched) Run(exec func(rank int) bool) {
 // picked up by an active driver between bodies or by an idle worker via
 // readyCh.
 func (sc *Sched) Ready(rank int) {
-	if sc.sharded {
-		sh := &sc.shards[sc.shardOf[rank]]
-		sh.rMu.Lock()
-		sc.readyNext[rank] = -1
-		if sh.rTail >= 0 {
-			sc.readyNext[sh.rTail] = int32(rank)
-		} else {
-			sh.rHead = int32(rank)
-		}
-		sh.rTail = int32(rank)
-		sc.readyCount.Add(1)
-		sh.rMu.Unlock()
+	sh := &sc.shards[sc.shardOf[rank]]
+	sh.rMu.Lock()
+	sc.readyNext[rank] = -1
+	if sh.rTail >= 0 {
+		sc.readyNext[sh.rTail] = int32(rank)
 	} else {
-		sc.readyMu.Lock()
-		sc.readyNext[rank] = -1
-		if sc.readyTail >= 0 {
-			sc.readyNext[sc.readyTail] = int32(rank)
-		} else {
-			sc.readyHead = int32(rank)
-		}
-		sc.readyTail = int32(rank)
-		sc.readyCount.Add(1)
-		sc.readyMu.Unlock()
+		sh.rHead = int32(rank)
 	}
+	sh.rTail = int32(rank)
+	sc.readyCount.Add(1)
+	sh.rMu.Unlock()
 	select {
 	case sc.readyCh <- struct{}{}:
 	default:
@@ -295,30 +263,14 @@ func (sc *Sched) Ready(rank int) {
 
 // popReady dequeues one resumed rank, or -1. The atomic count makes the
 // empty check lock-free (drivers poll it between bodies). pref is the
-// calling driver's shard (-1: none): in sharded mode its own ready list
-// is tried first, then the others round-robin — work stealing, so a
-// resume never waits on the locality preference. A pop may return -1
-// while readyCount is transiently positive (a push landing behind the
-// scan); the offDuty hand-off backstop covers that window exactly as it
-// covers the equivalent global-mode race.
+// calling driver's shard (-1: none): its own ready list is tried first,
+// then the others round-robin — work stealing, so a resume never waits
+// on the locality preference. A pop may return -1 while readyCount is
+// transiently positive (a push landing behind the scan); the offDuty
+// hand-off backstop covers that window.
 func (sc *Sched) popReady(pref int32) int {
 	if sc.readyCount.Load() == 0 {
 		return -1
-	}
-	if !sc.sharded {
-		sc.readyMu.Lock()
-		r := sc.readyHead
-		if r < 0 {
-			sc.readyMu.Unlock()
-			return -1
-		}
-		sc.readyHead = sc.readyNext[r]
-		if sc.readyHead < 0 {
-			sc.readyTail = -1
-		}
-		sc.readyCount.Add(-1)
-		sc.readyMu.Unlock()
-		return int(r)
 	}
 	w := int32(len(sc.shards))
 	if pref < 0 {

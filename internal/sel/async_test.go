@@ -26,7 +26,7 @@ func TestKthStepMatchesBlockingAcrossBackends(t *testing.T) {
 			for _, k := range []int64{1, n / 3, n / 2, n} {
 				k := k
 				// Blocking reference on the channel matrix.
-				mc := comm.NewMachine(comm.MatrixConfig(p))
+				mc := newMachine(t, comm.MatrixConfig(p))
 				refRes := make([]uint64, p)
 				mc.MustRun(func(pe *comm.PE) {
 					refRes[pe.Rank()] = Kth(pe, locals[pe.Rank()], k, xrand.NewPE(97, pe.Rank()))
@@ -35,7 +35,7 @@ func TestKthStepMatchesBlockingAcrossBackends(t *testing.T) {
 				for _, w := range []int{0, 1, 4} {
 					cfg := comm.MailboxConfig(p)
 					cfg.Workers = w
-					m := comm.NewMachine(cfg)
+					m := newMachine(t, cfg)
 					res := make([]uint64, p)
 					m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
 						return KthStep(pe, locals[pe.Rank()], k, xrand.NewPE(97, pe.Rank()),
@@ -65,8 +65,7 @@ func TestKthStepRepeatedRunsReusePooledState(t *testing.T) {
 	const p, perPE, rounds = 8, 128, 10
 	cfg := comm.MailboxConfig(p)
 	cfg.Workers = 2
-	m := comm.NewMachine(cfg)
-	defer m.Close()
+	m := newMachine(t, cfg)
 	locals := make([][]uint64, p)
 	for r := 0; r < p; r++ {
 		locals[r] = gen.SelectionInput(xrand.NewPE(5, r), perPE, 12)
@@ -109,7 +108,7 @@ func TestKthStepAllocParity(t *testing.T) {
 	}
 	k := int64(p * perPE / 2)
 	measure := func(run func(m *comm.Machine)) float64 {
-		m := comm.NewMachine(comm.MailboxConfig(p))
+		m := newMachine(t, comm.MailboxConfig(p))
 		defer m.Close()
 		for i := 0; i < 3; i++ {
 			run(m)

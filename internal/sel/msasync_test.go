@@ -30,7 +30,7 @@ func TestMSSelectStepMatchesBlockingAcrossBackends(t *testing.T) {
 		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
 			n := int64(p * perPE)
 			for _, k := range []int64{1, n / 3, n / 2, n} {
-				mc := comm.NewMachine(comm.MatrixConfig(p))
+				mc := newMachine(t, comm.MatrixConfig(p))
 				refV := make([]uint64, p)
 				refN := make([]int, p)
 				mc.MustRun(func(pe *comm.PE) {
@@ -44,7 +44,7 @@ func TestMSSelectStepMatchesBlockingAcrossBackends(t *testing.T) {
 				for _, w := range []int{0, 1, 4} {
 					cfg := comm.MailboxConfig(p)
 					cfg.Workers = w
-					m := comm.NewMachine(cfg)
+					m := newMachine(t, cfg)
 					gotV := make([]uint64, p)
 					gotN := make([]int, p)
 					m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
@@ -77,7 +77,7 @@ func TestAMSSelectStepMatchesBlockingAcrossBackends(t *testing.T) {
 			n := int64(p * perPE)
 			for _, kr := range [][2]int64{{1, 1}, {n / 4, n / 2}, {n, n}} {
 				kmin, kmax := kr[0], kr[1]
-				mc := comm.NewMachine(comm.MatrixConfig(p))
+				mc := newMachine(t, comm.MatrixConfig(p))
 				ref := make([]AMSResult[uint64], p)
 				mc.MustRun(func(pe *comm.PE) {
 					r := pe.Rank()
@@ -90,7 +90,7 @@ func TestAMSSelectStepMatchesBlockingAcrossBackends(t *testing.T) {
 				for _, w := range []int{0, 1, 4} {
 					cfg := comm.MailboxConfig(p)
 					cfg.Workers = w
-					m := comm.NewMachine(cfg)
+					m := newMachine(t, cfg)
 					got := make([]AMSResult[uint64], p)
 					m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
 						r := pe.Rank()
@@ -121,7 +121,7 @@ func TestAMSSelectStepTightIntervalFallback(t *testing.T) {
 	const p, perPE = 8, 64
 	n := int64(p * perPE)
 	for _, k := range []int64{7, n / 3, n - 5} {
-		mc := comm.NewMachine(comm.MatrixConfig(p))
+		mc := newMachine(t, comm.MatrixConfig(p))
 		ref := make([]AMSResult[uint64], p)
 		mc.MustRun(func(pe *comm.PE) {
 			r := pe.Rank()
@@ -131,7 +131,7 @@ func TestAMSSelectStepTightIntervalFallback(t *testing.T) {
 		if ref[0].Count != k {
 			t.Fatalf("k=%d: exact-interval Count = %d", k, ref[0].Count)
 		}
-		m := comm.NewMachine(comm.MailboxConfig(p))
+		m := newMachine(t, comm.MailboxConfig(p))
 		got := make([]AMSResult[uint64], p)
 		m.MustRunAsync(func(pe *comm.PE) comm.Stepper {
 			r := pe.Rank()

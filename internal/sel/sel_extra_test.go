@@ -9,7 +9,7 @@ import (
 )
 
 func TestAMSSelectBatchedValidation(t *testing.T) {
-	m := comm.NewMachine(comm.DefaultConfig(1))
+	m := newMachine(t, comm.DefaultConfig(1))
 	err := m.Run(func(pe *comm.PE) {
 		AMSSelectBatched[uint64](pe, SliceSeq[uint64]([]uint64{1}), 1, 1, 0, xrand.New(1))
 	})
@@ -20,7 +20,7 @@ func TestAMSSelectBatchedValidation(t *testing.T) {
 
 func TestAMSSelectInvalidRanges(t *testing.T) {
 	for _, c := range []struct{ kmin, kmax int64 }{{0, 5}, {5, 3}, {100, 200}} {
-		m := comm.NewMachine(comm.DefaultConfig(2))
+		m := newMachine(t, comm.DefaultConfig(2))
 		err := m.Run(func(pe *comm.PE) {
 			var local []uint64
 			if pe.Rank() == 0 {
@@ -38,7 +38,7 @@ func TestAMSSelectKmin1(t *testing.T) {
 	// kmin=1 uses rho=1 (the global minimum always qualifies).
 	const p = 3
 	parts, sorted := sortedParts(xrand.New(71), 60, p)
-	m := comm.NewMachine(comm.DefaultConfig(p))
+	m := newMachine(t, comm.DefaultConfig(p))
 	m.MustRun(func(pe *comm.PE) {
 		res := AMSSelect[uint64](pe, SliceSeq[uint64](parts[pe.Rank()]), 1, 20, xrand.NewPE(2, pe.Rank()))
 		if res.Count < 1 || res.Count > 20 {
@@ -54,7 +54,7 @@ func TestAMSSelectAllElements(t *testing.T) {
 	// kmax == n: everything is selected, threshold = global max.
 	const p = 4
 	parts, sorted := sortedParts(xrand.New(73), 100, p)
-	m := comm.NewMachine(comm.DefaultConfig(p))
+	m := newMachine(t, comm.DefaultConfig(p))
 	m.MustRun(func(pe *comm.PE) {
 		res := AMSSelect[uint64](pe, SliceSeq[uint64](parts[pe.Rank()]), 100, 100, xrand.NewPE(3, pe.Rank()))
 		if res.Count != 100 {
@@ -73,7 +73,7 @@ func TestMSSelectSkewedOwnership(t *testing.T) {
 	// All data on the last PE; the shared-pivot machinery must still work.
 	const p = 5
 	global, sorted := globalSorted(xrand.New(79), 200)
-	m := comm.NewMachine(comm.DefaultConfig(p))
+	m := newMachine(t, comm.DefaultConfig(p))
 	m.MustRun(func(pe *comm.PE) {
 		var local []uint64
 		if pe.Rank() == p-1 {
@@ -104,7 +104,7 @@ func TestKthWithHugeDuplicateGroups(t *testing.T) {
 	slices.Sort(sorted)
 	parts := distribute(global, p)
 	for _, k := range []int64{1, 400, 2000, 3999} {
-		m := comm.NewMachine(comm.DefaultConfig(p))
+		m := newMachine(t, comm.DefaultConfig(p))
 		m.MustRun(func(pe *comm.PE) {
 			got := Kth(pe, parts[pe.Rank()], k, xrand.NewPE(97, pe.Rank()))
 			if got != sorted[k-1] {
@@ -125,7 +125,7 @@ func TestKthTiesAreCommunicationCheap(t *testing.T) {
 			locals[r][i] = 7 // all identical
 		}
 	}
-	m := comm.NewMachine(comm.DefaultConfig(p))
+	m := newMachine(t, comm.DefaultConfig(p))
 	m.MustRun(func(pe *comm.PE) {
 		if got := Kth(pe, locals[pe.Rank()], int64(p*perPE/2), xrand.NewPE(1, pe.Rank())); got != 7 {
 			t.Errorf("Kth of constant input = %d", got)

@@ -59,7 +59,7 @@ func TestKthMatchesSortOnUniqueInput(t *testing.T) {
 	for _, p := range peCounts {
 		parts := distribute(global, p)
 		for _, k := range []int64{1, 2, 100, 1500, 2999, 3000} {
-			m := comm.NewMachine(comm.DefaultConfig(p))
+			m := newMachine(t, comm.DefaultConfig(p))
 			if err := m.Run(func(pe *comm.PE) {
 				got := Kth(pe, parts[pe.Rank()], k, xrand.NewPE(5, pe.Rank()))
 				if want := sorted[k-1]; got != want {
@@ -84,7 +84,7 @@ func TestKthWithDuplicates(t *testing.T) {
 	for _, p := range []int{1, 4, 7} {
 		parts := distribute(global, p)
 		for _, k := range []int64{1, 250, 500, 999} {
-			m := comm.NewMachine(comm.DefaultConfig(p))
+			m := newMachine(t, comm.DefaultConfig(p))
 			m.MustRun(func(pe *comm.PE) {
 				got := Kth(pe, parts[pe.Rank()], k, xrand.NewPE(3, pe.Rank()))
 				if want := sorted[k-1]; got != want {
@@ -96,7 +96,7 @@ func TestKthWithDuplicates(t *testing.T) {
 }
 
 func TestKthOutOfRangePanics(t *testing.T) {
-	m := comm.NewMachine(comm.DefaultConfig(2))
+	m := newMachine(t, comm.DefaultConfig(2))
 	err := m.Run(func(pe *comm.PE) {
 		Kth(pe, []uint64{1, 2}, 5, xrand.NewPE(1, pe.Rank()))
 	})
@@ -110,7 +110,7 @@ func TestKthAllOnOnePE(t *testing.T) {
 	// distribution assumption; Theorem 1's point is this still works).
 	global, sorted := globalSorted(xrand.New(11), 500)
 	const p = 8
-	m := comm.NewMachine(comm.DefaultConfig(p))
+	m := newMachine(t, comm.DefaultConfig(p))
 	m.MustRun(func(pe *comm.PE) {
 		var local []uint64
 		if pe.Rank() == 0 {
@@ -128,7 +128,7 @@ func TestSmallestK(t *testing.T) {
 	for _, p := range []int{1, 3, 8} {
 		parts := distribute(global, p)
 		for _, k := range []int64{0, 1, 7, 512, 2000} {
-			m := comm.NewMachine(comm.DefaultConfig(p))
+			m := newMachine(t, comm.DefaultConfig(p))
 			collected := make([][]uint64, p)
 			m.MustRun(func(pe *comm.PE) {
 				collected[pe.Rank()] = SmallestK(pe, parts[pe.Rank()], k, xrand.NewPE(17, pe.Rank()))
@@ -151,7 +151,7 @@ func TestSmallestK(t *testing.T) {
 func TestSmallestKSplitsTies(t *testing.T) {
 	// All elements identical: exactly k copies must be returned.
 	const p = 4
-	m := comm.NewMachine(comm.DefaultConfig(p))
+	m := newMachine(t, comm.DefaultConfig(p))
 	counts := make([]int, p)
 	m.MustRun(func(pe *comm.PE) {
 		local := []uint64{7, 7, 7, 7, 7}
@@ -171,7 +171,7 @@ func TestKthRandomizedBaseline(t *testing.T) {
 	global, sorted := globalSorted(xrand.New(23), 800)
 	const p = 4
 	parts := distribute(global, p)
-	m := comm.NewMachine(comm.DefaultConfig(p))
+	m := newMachine(t, comm.DefaultConfig(p))
 	m.MustRun(func(pe *comm.PE) {
 		got := KthRandomized(pe, parts[pe.Rank()], 400, xrand.NewPE(29, pe.Rank()))
 		if want := sorted[399]; got != want {
@@ -190,7 +190,7 @@ func TestKthCommunicationSublinear(t *testing.T) {
 	// n/p is large. n/p = 20000, p = 8.
 	const p = 8
 	const perPE = 20000
-	m := comm.NewMachine(comm.DefaultConfig(p))
+	m := newMachine(t, comm.DefaultConfig(p))
 	locals := make([][]uint64, p)
 	rng := xrand.New(31)
 	for i := range locals {
@@ -224,7 +224,7 @@ func TestMSSelect(t *testing.T) {
 	for _, p := range peCounts {
 		parts, sorted := sortedParts(rng, 1200, p)
 		for _, k := range []int64{1, 2, 600, 1199, 1200} {
-			m := comm.NewMachine(comm.DefaultConfig(p))
+			m := newMachine(t, comm.DefaultConfig(p))
 			gotLens := make([]int, p)
 			m.MustRun(func(pe *comm.PE) {
 				shared := xrand.New(57) // same seed on every PE
@@ -250,7 +250,7 @@ func TestMSSelectStartupsPolylog(t *testing.T) {
 	// startups at most, not Ω(n).
 	const p = 16
 	parts, _ := sortedParts(xrand.New(43), 16000, p)
-	m := comm.NewMachine(comm.DefaultConfig(p))
+	m := newMachine(t, comm.DefaultConfig(p))
 	m.MustRun(func(pe *comm.PE) {
 		shared := xrand.New(3)
 		MSSelect[uint64](pe, SliceSeq[uint64](parts[pe.Rank()]), 8000, shared)
@@ -268,7 +268,7 @@ func TestAMSSelect(t *testing.T) {
 			{1, 10}, {50, 100}, {700, 900}, {1400, 1500}, {1500, 1500},
 		}
 		for _, c := range cases {
-			m := comm.NewMachine(comm.DefaultConfig(p))
+			m := newMachine(t, comm.DefaultConfig(p))
 			lens := make([]int, p)
 			var count int64
 			var thr uint64
@@ -303,7 +303,7 @@ func TestAMSSelectTightRange(t *testing.T) {
 	// both must return exactly k elements.
 	const p = 5
 	parts, sorted := sortedParts(xrand.New(59), 700, p)
-	m := comm.NewMachine(comm.DefaultConfig(p))
+	m := newMachine(t, comm.DefaultConfig(p))
 	m.MustRun(func(pe *comm.PE) {
 		res := AMSSelect[uint64](pe, SliceSeq[uint64](parts[pe.Rank()]), 350, 350, xrand.NewPE(61, pe.Rank()))
 		if res.Count != 350 {
@@ -319,7 +319,7 @@ func TestAMSSelectBatched(t *testing.T) {
 	for _, d := range []int{1, 4, 16} {
 		const p = 6
 		parts, _ := sortedParts(xrand.New(67), 1000, p)
-		m := comm.NewMachine(comm.DefaultConfig(p))
+		m := newMachine(t, comm.DefaultConfig(p))
 		m.MustRun(func(pe *comm.PE) {
 			res := AMSSelectBatched[uint64](pe, SliceSeq[uint64](parts[pe.Rank()]), 400, 440, d, xrand.NewPE(71, pe.Rank()))
 			if res.Count < 400 || res.Count > 440 {
@@ -339,7 +339,7 @@ func TestAMSSelectBatchedFewerRounds(t *testing.T) {
 		var total int
 		const reps = 20
 		for rep := 0; rep < reps; rep++ {
-			m := comm.NewMachine(comm.DefaultConfig(p))
+			m := newMachine(t, comm.DefaultConfig(p))
 			m.MustRun(func(pe *comm.PE) {
 				res := AMSSelectBatched[uint64](pe, SliceSeq[uint64](parts[pe.Rank()]),
 					2000, 2010, d, xrand.NewPE(int64(100+rep), pe.Rank()))
@@ -373,7 +373,7 @@ func TestAMSSelectQuick(t *testing.T) {
 		}
 		parts, sorted := sortedParts(xrand.New(seed), n, p)
 		ok := true
-		m := comm.NewMachine(comm.DefaultConfig(p))
+		m := newMachine(t, comm.DefaultConfig(p))
 		m.MustRun(func(pe *comm.PE) {
 			res := AMSSelect[uint64](pe, SliceSeq[uint64](parts[pe.Rank()]), kmin, kmax, xrand.NewPE(seed+1, pe.Rank()))
 			if pe.Rank() != 0 {
@@ -405,7 +405,7 @@ func TestKthOnPaperWorkload(t *testing.T) {
 	}
 	slices.Sort(global)
 	k := int64(len(global) - 1024) // k-th largest ⇒ rank n-k+1 smallest
-	m := comm.NewMachine(comm.DefaultConfig(p))
+	m := newMachine(t, comm.DefaultConfig(p))
 	m.MustRun(func(pe *comm.PE) {
 		got := Kth(pe, locals[pe.Rank()], k, xrand.NewPE(83, pe.Rank()))
 		if want := global[k-1]; got != want {

@@ -189,7 +189,7 @@ func TestControlFrameRoundTrips(t *testing.T) {
 	if idx, err := decodeHello(appendHello(nil, 3)); err != nil || idx != 3 {
 		t.Fatalf("hello: %d, %v", idx, err)
 	}
-	w := welcome{P: 64, Procs: 4, Lo: 16, Hi: 32, Alpha: 1000, Beta: 1, Seed: 42, Workers: 2, Global: true}
+	w := welcome{P: 64, Procs: 4, Lo: 16, Hi: 32, Alpha: 1000, Beta: 1, Seed: 42, Workers: 2}
 	got, err := decodeWelcome(appendWelcome(nil, w))
 	if err != nil || got != w {
 		t.Fatalf("welcome: %+v, %v", got, err)

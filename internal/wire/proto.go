@@ -107,7 +107,6 @@ type welcome struct {
 	Beta    float64
 	Seed    int64
 	Workers int
-	Global  bool // GlobalReadyQueue
 }
 
 func appendWelcome(b []byte, w welcome) []byte {
@@ -121,11 +120,6 @@ func appendWelcome(b []byte, w welcome) []byte {
 	e.F64(w.Beta)
 	e.I64(w.Seed)
 	e.U32(uint32(w.Workers))
-	if w.Global {
-		e.U8(1)
-	} else {
-		e.U8(0)
-	}
 	return e.Bytes()
 }
 
@@ -143,7 +137,6 @@ func decodeWelcome(body []byte) (welcome, error) {
 	w.Beta = d.F64()
 	w.Seed = d.I64()
 	w.Workers = int(d.U32())
-	w.Global = d.U8() != 0
 	if d.Err() != nil {
 		return w, d.Err()
 	}
